@@ -378,9 +378,18 @@ func WithWireBackoff(base, max time.Duration, maxRetries int) WireClientOption {
 func WithWireJitterSeed(seed int64) WireClientOption { return wire.WithJitterSeed(seed) }
 
 // DB bundles an engine with a SQL session — the one-import entry point.
+// It is safe for concurrent use: the SQL methods (Query, Exec, ExecScript,
+// MustExec, Plan and their Context forms) take turns on the one session,
+// while the engine methods run concurrently as the engine allows. A
+// trigger function that issues SQL through the same DB must therefore be
+// fired by DB.Advance, not by an ADVANCE TO statement, which holds the
+// session while the triggers run.
 type DB struct {
-	eng  *engine.Engine
-	sess *sql.Session
+	eng *engine.Engine
+	// sessMu serialises the SQL session: statements share its per-
+	// statement tracing state and its statement cache.
+	sessMu sync.Mutex
+	sess   *sql.Session
 
 	mu sync.Mutex
 	// wireServers tracks servers created through NewWireServer so the
@@ -428,7 +437,7 @@ func openDB(notify io.Writer, opts ...EngineOption) (*DB, error) {
 	db := &DB{eng: eng, sess: sql.NewSession(eng, notify)}
 	if eng.DurabilityDir() != "" {
 		if _, err := eng.OpenDurability(func(def string) error {
-			_, err := db.sess.Exec(def)
+			_, err := db.exec(def)
 			return err
 		}); err != nil {
 			return nil, err
@@ -483,7 +492,14 @@ func (db *DB) Close() error {
 // point for the SQL surface; Exec is a long-standing alias. Rows come
 // out of Result.Rows() (presentation order under ORDER BY/LIMIT,
 // deterministic set order otherwise).
-func (db *DB) Query(q string) (*Result, error) { return db.sess.Exec(q) }
+func (db *DB) Query(q string) (*Result, error) { return db.exec(q) }
+
+// exec runs one statement on the session, holding it for the statement.
+func (db *DB) exec(q string) (*Result, error) {
+	db.sessMu.Lock()
+	defer db.sessMu.Unlock()
+	return db.sess.Exec(q)
+}
 
 // QueryContext is Query honouring ctx at the statement boundary. A
 // statement runs against in-memory state and is not interruptible
@@ -493,7 +509,7 @@ func (db *DB) QueryContext(ctx context.Context, q string) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return db.sess.Exec(q)
+	return db.exec(q)
 }
 
 // Exec runs one SQL statement. It is an alias of Query, kept because
@@ -508,11 +524,15 @@ func (db *DB) ExecContext(ctx context.Context, q string) (*Result, error) {
 
 // ExecScript runs a semicolon-separated script, returning the last
 // result.
-func (db *DB) ExecScript(q string) (*Result, error) { return db.sess.ExecScript(q) }
+func (db *DB) ExecScript(q string) (*Result, error) {
+	db.sessMu.Lock()
+	defer db.sessMu.Unlock()
+	return db.sess.ExecScript(q)
+}
 
 // MustExec is Exec, panicking on error — for examples and tests.
 func (db *DB) MustExec(q string) *Result {
-	res, err := db.sess.Exec(q)
+	res, err := db.exec(q)
 	if err != nil {
 		panic(err)
 	}
@@ -520,7 +540,11 @@ func (db *DB) MustExec(q string) *Result {
 }
 
 // Plan lowers a SELECT to an algebra expression without evaluating it.
-func (db *DB) Plan(query string) (Expr, error) { return db.sess.PlanQuery(query) }
+func (db *DB) Plan(query string) (Expr, error) {
+	db.sessMu.Lock()
+	defer db.sessMu.Unlock()
+	return db.sess.PlanQuery(query)
+}
 
 // Engine exposes the programmatic engine API (tables, triggers, clock,
 // views).

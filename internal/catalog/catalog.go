@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"expdb/internal/index"
 	"expdb/internal/relation"
@@ -50,7 +51,15 @@ type Catalog struct {
 	tables  map[string]*relation.Relation
 	views   map[string]*view.View
 	indexes map[string]*IndexDef
+	// epoch counts name-space changes: every successful CREATE or DROP of
+	// a table, index or view bumps it. A plan lowered at one epoch binds
+	// the relations and views the names meant then; callers that keep
+	// plans across statements reuse them only while the epoch holds.
+	epoch atomic.Uint64
 }
+
+// Epoch returns the catalog's name-space epoch (see Catalog.epoch).
+func (c *Catalog) Epoch() uint64 { return c.epoch.Load() }
 
 // New returns an empty catalog.
 func New() *Catalog {
@@ -73,6 +82,7 @@ func (c *Catalog) CreateTable(name string, schema tuple.Schema) (*relation.Relat
 	}
 	r := relation.New(schema)
 	c.tables[name] = r
+	c.epoch.Add(1)
 	return r, nil
 }
 
@@ -91,6 +101,7 @@ func (c *Catalog) DropTable(name string) error {
 			delete(c.indexes, n)
 		}
 	}
+	c.epoch.Add(1)
 	return nil
 }
 
@@ -107,6 +118,7 @@ func (c *Catalog) AddIndex(def *IndexDef) error {
 		return fmt.Errorf("%w: %q", ErrNoSuchTable, def.Table)
 	}
 	c.indexes[def.Name] = def
+	c.epoch.Add(1)
 	return nil
 }
 
@@ -120,6 +132,7 @@ func (c *Catalog) DropIndex(name string) (*IndexDef, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchIndex, name)
 	}
 	delete(c.indexes, name)
+	c.epoch.Add(1)
 	return def, nil
 }
 
@@ -215,6 +228,7 @@ func (c *Catalog) RegisterView(v *view.View) error {
 		return fmt.Errorf("catalog: %q already names a table", v.Name())
 	}
 	c.views[v.Name()] = v
+	c.epoch.Add(1)
 	return nil
 }
 
@@ -226,6 +240,7 @@ func (c *Catalog) DropView(name string) error {
 		return fmt.Errorf("%w: %q", ErrNoSuchView, name)
 	}
 	delete(c.views, name)
+	c.epoch.Add(1)
 	return nil
 }
 

@@ -115,3 +115,60 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("tables = %d", len(c.Tables()))
 	}
 }
+
+// TestEpochCountsNameSpaceChanges checks that every successful CREATE or
+// DROP of a table, index or view bumps the epoch exactly once, and that
+// failed DDL and lookups leave it alone.
+func TestEpochCountsNameSpaceChanges(t *testing.T) {
+	c := New()
+	last := c.Epoch()
+	step := func(what string, changed bool) {
+		t.Helper()
+		now := c.Epoch()
+		switch {
+		case changed && now != last+1:
+			t.Fatalf("%s: epoch %d → %d, want one bump", what, last, now)
+		case !changed && now != last:
+			t.Fatalf("%s: epoch moved %d → %d", what, last, now)
+		}
+		last = now
+	}
+	rel, err := c.CreateTable("t", tuple.IntCols("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("create table", true)
+	c.CreateTable("t", tuple.IntCols("x"))
+	step("duplicate create table", false)
+	c.Table("t")
+	c.Tables()
+	step("lookups", false)
+	if err := c.AddIndex(&IndexDef{Name: "t_x", Table: "t", Cols: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	step("add index", true)
+	if _, err := c.DropIndex("t_x"); err != nil {
+		t.Fatal(err)
+	}
+	step("drop index", true)
+	c.DropIndex("t_x")
+	step("double drop index", false)
+	v, err := view.New("v", algebra.NewBase("t", rel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterView(v); err != nil {
+		t.Fatal(err)
+	}
+	step("register view", true)
+	if err := c.DropView("v"); err != nil {
+		t.Fatal(err)
+	}
+	step("drop view", true)
+	if err := c.DropTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	step("drop table", true)
+	c.DropTable("t")
+	step("double drop table", false)
+}

@@ -204,14 +204,15 @@ func BenchmarkCacheHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	key := base.String()
+	plan := planOf(base)
 	tid := trace.NextID()
-	if _, err := e.QueryStamped(base, key, tid); err != nil {
+	if _, err := e.QueryStamped(key, plan, tid); err != nil {
 		b.Fatal(err) // warm the entry
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		qr, err := e.QueryStamped(base, key, tid)
+		qr, err := e.QueryStamped(key, plan, tid)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -248,11 +249,12 @@ func BenchmarkIndexedPointLookup(b *testing.B) {
 	scan := algebra.NewIndexScan(base, "t0_id", full, nil)
 	scan.Eq = probe
 	scan.EqKey = probe.Key()
+	plan := planOf(scan)
 	tid := trace.NextID()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		qr, err := e.QueryStamped(scan, "", tid)
+		qr, err := e.QueryStamped("", plan, tid)
 		if err != nil {
 			b.Fatal(err)
 		}

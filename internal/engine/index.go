@@ -121,17 +121,14 @@ func (e *Engine) DropIndex(name string) error {
 
 // TableCard reports the table's stored cardinality (expired-but-unswept
 // rows included — they cost a scan exactly like live ones), the
-// planner's primary cost input. The brief read lock is taken at plan
-// time, before any query locks are held.
+// planner's primary cost input. It takes no table lock: planning on a
+// result-cache miss must not make a waiting writer wait longer.
 func (e *Engine) TableCard(name string) (int, bool) {
 	rel, err := e.cat.Table(name)
 	if err != nil {
 		return 0, false
 	}
-	rel.RLock()
-	n := rel.Len()
-	rel.RUnlock()
-	return n, true
+	return rel.StoredLen(), true
 }
 
 // recoverIndex recompiles one CREATE INDEX statement through the SQL

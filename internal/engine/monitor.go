@@ -134,7 +134,9 @@ func (e *Engine) initMonitor() {
 	reg("traces_recorded", monitor.SeriesCounter, func() int64 { return int64(e.traces.Total()) })
 	reg("cache_hits", monitor.SeriesCounter, func() int64 { return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Hits.Load() }) })
 	reg("cache_misses", monitor.SeriesCounter, func() int64 { return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Misses.Load() }) })
-	reg("cache_invalidations", monitor.SeriesCounter, func() int64 { return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Invalidations.Load() + m.EpochInvalidations.Load() }) })
+	reg("cache_invalidations", monitor.SeriesCounter, func() int64 {
+		return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Invalidations.Load() + m.EpochInvalidations.Load() })
+	})
 	reg("cache_evictions", monitor.SeriesCounter, func() int64 { return e.cacheCounter(func(m *resultCacheMetrics) int64 { return m.Evictions.Load() }) })
 	reg("view_reads", monitor.SeriesCounter, e.viewAgg.Reads.Load)
 	reg("view_cache_hits", monitor.SeriesCounter, e.viewAgg.ServedFromMat.Load)

@@ -192,14 +192,17 @@ func (e *Engine) ResultCacheStats() (ResultCacheMetrics, error) {
 	}, nil
 }
 
-// QueryStamped evaluates expr at the current tick and stamps the answer
-// with its validity interval [now, texp(e)). With a non-empty cache key —
-// the normalized plan string — a cached materialisation still inside its
-// window and untouched by base-table writes is served instead, with zero
-// re-evaluation (the hot path is one map probe, two epoch compares and an
-// O(1) shared snapshot). A key of "" stamps without caching, so every
-// result carries its validity whether or not it is cacheable.
-func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (QueryResult, error) {
+// QueryStamped answers the query whose result-cache key is key and
+// stamps the answer with its validity interval [now, texp(e)). With a
+// non-empty key — the normalized plan string — a cached materialisation
+// still inside its window and untouched by base-table writes is served
+// first, with zero re-evaluation (the hot path is one map probe, two
+// epoch compares and an O(1) shared snapshot). Only on a miss is plan
+// called for the expression to evaluate, so a caller that would spend
+// work choosing a physical plan spends it only when the plan runs. A key
+// of "" stamps without caching, so every result carries its validity
+// whether or not it is cacheable.
+func (e *Engine) QueryStamped(key string, plan func() algebra.Expr, tid trace.ID) (QueryResult, error) {
 	if tid == 0 {
 		tid = trace.NextID()
 	}
@@ -208,6 +211,16 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 		if res, ok := e.cacheServe(c, key, tid); ok {
 			return res, nil
 		}
+	}
+	expr := plan()
+	// The tables whose epochs a cached answer records are found before
+	// the read locks are taken, keeping the locked section (and so a
+	// waiting writer's wait) to the evaluation itself.
+	var tables []string
+	var epochs []uint64
+	if c != nil && key != "" {
+		tables = baseNames(expr)
+		epochs = make([]uint64, len(tables))
 	}
 
 	// Closure-free lock plan: a stack-backed slice, linear dedup and an
@@ -243,8 +256,6 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 	// still held: no write can have slipped between the rows we evaluated
 	// and the epochs we record, so an epoch match at lookup time proves
 	// the cached rows are the rows a re-evaluation would produce.
-	tables := baseNames(expr)
-	epochs := make([]uint64, len(tables))
 	e.mu.RLock()
 	for i, t := range tables {
 		epochs[i] = e.epochs[t]
@@ -254,11 +265,14 @@ func (e *Engine) QueryStamped(expr algebra.Expr, key string, tid trace.ID) (Quer
 
 	c.m.Misses.Inc()
 	e.events.Emit(trace.Event{Trace: tid, Kind: trace.EvCacheMiss, Tick: now, Texp: texp})
-	e.cacheStore(c, key, rel, now, texp, tables, epochs)
 	// Hand the caller a shared snapshot, not the stored relation itself:
 	// the store is immutable from here on, and a caller mutating its
-	// result copies-on-write instead of corrupting the cache.
+	// result copies-on-write instead of corrupting the cache. The
+	// snapshot is taken before the store publishes rel: SnapshotShared
+	// marks rel shared, and once rel is in the cache only holders of the
+	// cache mutex may do that.
 	res.Rel = rel.SnapshotShared(now)
+	e.cacheStore(c, key, rel, now, texp, tables, epochs)
 	return res, nil
 }
 

@@ -16,11 +16,47 @@ import (
 func stamped(t *testing.T, e *Engine, expr algebra.Expr) QueryResult {
 	t.Helper()
 	key := algebra.PushDownSelections(expr).String()
-	qr, err := e.QueryStamped(expr, key, 0)
+	qr, err := e.QueryStamped(key, planOf(expr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return qr
+}
+
+// planOf is the plan builder for an expression built up front.
+func planOf(expr algebra.Expr) func() algebra.Expr {
+	return func() algebra.Expr { return expr }
+}
+
+// TestQueryStampedPlansOnlyOnMiss checks that the plan builder runs on a
+// cache miss and is skipped on a hit: a served answer costs no planning.
+func TestQueryStampedPlansOnlyOnMiss(t *testing.T) {
+	e := newsEngine(t)
+	expr := histExpr(t, e)
+	key := expr.String()
+	calls := 0
+	plan := func() algebra.Expr { calls++; return expr }
+	for i, want := range []int{1, 1, 2} {
+		if i == 2 {
+			if err := e.Advance(10); err != nil { // past the window [0, 10)
+				t.Fatal(err)
+			}
+		}
+		qr, err := e.QueryStamped(key, plan, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != want {
+			t.Fatalf("query %d: plan built %d time(s), want %d", i, calls, want)
+		}
+		if qr.Cached != (i == 1) {
+			t.Fatalf("query %d: Cached = %v", i, qr.Cached)
+		}
+	}
+	// Without a key every query plans.
+	if _, err := e.QueryStamped("", plan, 0); err != nil || calls != 3 {
+		t.Fatalf("uncached query: calls = %d, err = %v", calls, err)
+	}
 }
 
 // histExpr builds SELECT Deg, COUNT(*) FROM pol GROUP BY Deg with the
@@ -299,7 +335,7 @@ func TestCacheDisabled(t *testing.T) {
 func TestCacheEmptyKeyStampsWithoutCaching(t *testing.T) {
 	e := newsEngine(t)
 	b := histExpr(t, e)
-	qr, err := e.QueryStamped(b, "", 0)
+	qr, err := e.QueryStamped("", planOf(b), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,10 +421,10 @@ func TestCacheEventsEmitted(t *testing.T) {
 	b := histExpr(t, e)
 	tid := trace.NextID()
 	key := b.String()
-	if _, err := e.QueryStamped(b, key, tid); err != nil {
+	if _, err := e.QueryStamped(key, planOf(b), tid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.QueryStamped(b, key, tid); err != nil {
+	if _, err := e.QueryStamped(key, planOf(b), tid); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Advance(12); err != nil {
@@ -477,11 +513,11 @@ func TestCacheHitAllocs(t *testing.T) {
 	b, _ := e.Base("t")
 	key := b.String()
 	tid := trace.NextID()
-	if _, err := e.QueryStamped(b, key, tid); err != nil {
+	if _, err := e.QueryStamped(key, planOf(b), tid); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		qr, err := e.QueryStamped(b, key, tid)
+		qr, err := e.QueryStamped(key, planOf(b), tid)
 		if err != nil || !qr.Cached {
 			t.Fatalf("hit path failed: cached=%v err=%v", qr.Cached, err)
 		}

@@ -7,8 +7,6 @@
 package pqueue
 
 import (
-	"container/heap"
-
 	"expdb/internal/xtime"
 )
 
@@ -18,9 +16,12 @@ type Item[T any] struct {
 	Value T
 }
 
-// Queue is an expiration min-heap. The zero value is ready to use.
+// Queue is an expiration min-heap. The zero value is ready to use. The
+// heap is sifted in place on the typed slice — no interface boxing — so
+// Push and Pop allocate nothing beyond the slice's growth; the order of
+// equal priorities is the one container/heap would produce.
 type Queue[T any] struct {
-	h     itemHeap[T]
+	h     []Item[T]
 	stats Stats
 }
 
@@ -39,7 +40,7 @@ func (q *Queue[T]) Stats() Stats { return q.stats }
 // New returns an empty queue with capacity hint n.
 func New[T any](n int) *Queue[T] {
 	q := &Queue[T]{}
-	q.h = make(itemHeap[T], 0, n)
+	q.h = make([]Item[T], 0, n)
 	return q
 }
 
@@ -48,7 +49,8 @@ func (q *Queue[T]) Len() int { return len(q.h) }
 
 // Push enqueues value with priority at.
 func (q *Queue[T]) Push(at xtime.Time, value T) {
-	heap.Push(&q.h, Item[T]{At: at, Value: value})
+	q.h = append(q.h, Item[T]{At: at, Value: value})
+	q.up(len(q.h) - 1)
 	q.stats.Pushes++
 	if n := int64(len(q.h)); n > q.stats.MaxLen {
 		q.stats.MaxLen = n
@@ -70,7 +72,7 @@ func (q *Queue[T]) Pop() (Item[T], bool) {
 		return Item[T]{}, false
 	}
 	q.stats.Pops++
-	return heap.Pop(&q.h).(Item[T]), true
+	return q.pop(), true
 }
 
 // PopDue removes and returns every item with At ≤ tau, earliest first.
@@ -78,7 +80,7 @@ func (q *Queue[T]) Pop() (Item[T], bool) {
 func (q *Queue[T]) PopDue(tau xtime.Time) []Item[T] {
 	var due []Item[T]
 	for len(q.h) > 0 && q.h[0].At <= tau {
-		due = append(due, heap.Pop(&q.h).(Item[T]))
+		due = append(due, q.pop())
 	}
 	q.stats.Pops += int64(len(due))
 	return due
@@ -92,16 +94,48 @@ func (q *Queue[T]) NextAt() xtime.Time {
 	return q.h[0].At
 }
 
-type itemHeap[T any] []Item[T]
+// pop removes the root: the last item moves to the root and sifts down,
+// and the vacated slot is cleared so the queue keeps no reference to a
+// popped value.
+func (q *Queue[T]) pop() Item[T] {
+	n := len(q.h) - 1
+	top := q.h[0]
+	q.h[0] = q.h[n]
+	q.h[n] = Item[T]{}
+	q.h = q.h[:n]
+	q.down(0)
+	return top
+}
 
-func (h itemHeap[T]) Len() int            { return len(h) }
-func (h itemHeap[T]) Less(i, j int) bool  { return h[i].At < h[j].At }
-func (h itemHeap[T]) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap[T]) Push(x interface{}) { *h = append(*h, x.(Item[T])) }
-func (h *itemHeap[T]) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// up sifts the item at j towards the root.
+func (q *Queue[T]) up(j int) {
+	h := q.h
+	for j > 0 {
+		i := (j - 1) / 2
+		if h[j].At >= h[i].At {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// down sifts the item at i towards the leaves.
+func (q *Queue[T]) down(i int) {
+	h := q.h
+	n := len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].At < h[j].At {
+			j = r
+		}
+		if h[j].At >= h[i].At {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

@@ -1,6 +1,7 @@
 package pqueue
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
@@ -120,6 +121,72 @@ func TestQuickPopDuePartition(t *testing.T) {
 		}
 		if q.NextAt() <= tau && q.Len() > 0 {
 			t.Fatalf("left item due at %v ≤ tau %v in queue", q.NextAt(), tau)
+		}
+	}
+}
+
+// BenchmarkPopDue models the engine's expiry schedule: a queue of ~1000
+// pending expirations from which each Advance pops the handful now due
+// and new inserts push replacements.
+func BenchmarkPopDue(b *testing.B) {
+	type event struct{ table, key string }
+	q := New[event](1024)
+	for i := 0; i < 1024; i++ {
+		q.Push(xtime.Time(i%100+1), event{"t", "k"})
+	}
+	now := xtime.Time(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now++
+		for _, it := range q.PopDue(now) {
+			q.Push(it.At+100, it.Value)
+		}
+	}
+}
+
+// refHeap is container/heap's ordering, the reference the in-place sift
+// must reproduce (ties included: trigger dispatch order depends on it).
+type refHeap []Item[int]
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].At < h[j].At }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(Item[int])) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// TestTieOrderMatchesContainerHeap replays a random stream of pushes and
+// due-pops with many equal priorities against container/heap and
+// requires the same items in the same order.
+func TestTieOrderMatchesContainerHeap(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	q := New[int](0)
+	ref := &refHeap{}
+	for step := 0; step < 5000; step++ {
+		if r.Intn(3) > 0 {
+			at := xtime.Time(r.Intn(20))
+			q.Push(at, step)
+			heap.Push(ref, Item[int]{At: at, Value: step})
+			continue
+		}
+		tau := xtime.Time(r.Intn(20))
+		got := q.PopDue(tau)
+		var want []Item[int]
+		for ref.Len() > 0 && (*ref)[0].At <= tau {
+			want = append(want, heap.Pop(ref).(Item[int]))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("step %d: popped %d items, want %d", step, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: item %d = %v, want %v", step, i, got[i], want[i])
+			}
 		}
 	}
 }

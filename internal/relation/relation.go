@@ -58,6 +58,9 @@ type Relation struct {
 	// immutable) and the write goes to the private copy, so snapshots
 	// handed out earlier never observe later mutations.
 	shared bool
+	// stored mirrors len(rows), kept by every mutator under the write
+	// lock, so StoredLen can answer without the relation's lock.
+	stored atomic.Int64
 	// indexes are the attached secondary indexes, maintained inline by
 	// every mutator under the caller's write lock. Only engine-owned base
 	// tables carry them; snapshots, clones and operator results never do
@@ -137,6 +140,7 @@ func (r *Relation) detach() {
 	}
 	r.rows = rows
 	r.shared = false
+	r.stored.Store(int64(len(rows)))
 }
 
 // Len returns the number of stored tuples, including ones that may already
@@ -154,6 +158,13 @@ func (r *Relation) Len() int {
 	}
 	return n
 }
+
+// StoredLen is the number of stored tuples, expired-but-unswept ones
+// included, read without the relation's lock: a planner's cardinality
+// estimate that must not make a waiting writer wait longer. For a
+// snapshot it counts the shared map, not only the rows alive at its
+// floor; use Len under the read lock for an exact count.
+func (r *Relation) StoredLen() int { return int(r.stored.Load()) }
 
 // Insert adds t with expiration texp. If an equal tuple is present the
 // larger expiration time wins (set semantics consistent with ∪exp). It
@@ -186,6 +197,7 @@ func (r *Relation) InsertKeyed(key string, t tuple.Tuple, texp xtime.Time) (chan
 	}
 	ct := t.Clone()
 	r.rows[key] = Row{Tuple: ct, Texp: texp}
+	r.stored.Add(1)
 	r.idxInsert(key, ct, texp)
 	return true, 0, false
 }
@@ -207,6 +219,7 @@ func (r *Relation) InsertOwned(key string, t tuple.Tuple, texp xtime.Time) bool 
 		return false
 	}
 	r.rows[key] = Row{Tuple: t, Texp: texp}
+	r.stored.Add(1)
 	r.idxInsert(key, t, texp)
 	return true
 }
@@ -233,6 +246,7 @@ func (r *Relation) DeleteKey(key string) bool {
 	}
 	r.detach()
 	delete(r.rows, key)
+	r.stored.Add(-1)
 	r.idxRemove(key, row.Tuple)
 	return true
 }
@@ -329,13 +343,15 @@ func (r *Relation) Snapshot(tau xtime.Time) *Relation {
 // serve reads from the materialisation without copying it.
 func (r *Relation) SnapshotShared(tau xtime.Time) *Relation {
 	r.shared = true
-	return &Relation{
+	out := &Relation{
 		order:  lockSeq.Add(1),
 		schema: r.schema,
 		rows:   r.rows,
 		floor:  r.effTau(tau),
 		shared: true,
 	}
+	out.stored.Store(int64(len(r.rows)))
+	return out
 }
 
 // Clone returns an independent copy of r, expired rows included. Tuples
@@ -365,6 +381,7 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 			delete(r.rows, key)
 			r.idxRemove(key, row.Tuple)
 		})
+		r.stored.Store(int64(len(r.rows)))
 		return removed
 	}
 	for k, row := range r.rows {
@@ -374,6 +391,7 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 			r.idxRemove(k, row.Tuple)
 		}
 	}
+	r.stored.Store(int64(len(r.rows)))
 	return removed
 }
 

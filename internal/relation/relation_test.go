@@ -275,3 +275,37 @@ func TestQuickSnapshotMatchesContains(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStoredLenTracksLen checks that the lock-free StoredLen agrees with
+// Len through every mutator: fresh and duplicate inserts, deletes,
+// expiry removal, and the copy-on-write detach after a shared snapshot.
+func TestStoredLenTracksLen(t *testing.T) {
+	r := New(tuple.IntCols("a"))
+	check := func(what string) {
+		t.Helper()
+		if got, want := r.StoredLen(), r.Len(); got != want {
+			t.Fatalf("%s: StoredLen = %d, Len = %d", what, got, want)
+		}
+	}
+	for i := int64(0); i < 10; i++ {
+		r.Insert(tuple.Ints(i), xtime.Time(10+i))
+	}
+	check("inserts")
+	r.Insert(tuple.Ints(3), 100)
+	r.InsertOwned(tuple.Ints(4).Key(), tuple.Ints(4), 100)
+	check("duplicate inserts")
+	snap := r.SnapshotShared(0)
+	if snap.StoredLen() != 10 {
+		t.Fatalf("snapshot StoredLen = %d, want 10", snap.StoredLen())
+	}
+	r.Delete(tuple.Ints(0))
+	r.DeleteKey(tuple.Ints(99).Key())
+	check("deletes after a shared snapshot")
+	r.RemoveExpired(13)
+	check("RemoveExpired scan")
+	r.EnableTexpIndex()
+	r.RemoveExpired(16)
+	check("RemoveExpired via the texp index")
+	r.InsertOwnedRow(Row{Tuple: tuple.Ints(50), Texp: 60})
+	check("InsertOwnedRow")
+}

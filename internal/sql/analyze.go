@@ -169,7 +169,10 @@ func (s *Session) execExplainAnalyze(expr, rewritten, phys algebra.Expr, choices
 	}
 	// Feed the observed cardinalities back to the cost model: the next
 	// plan for these fragments starts from measured rows, not guesses.
+	// The statement cache is emptied with it, so every text the session
+	// runs next is planned afresh against what it has just learned.
 	s.harvestActuals(root)
+	s.forgetPrepared()
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan:      %s\n", expr)
 	if rewritten.String() != expr.String() {

@@ -56,18 +56,21 @@ func (c planChoice) lines() []string {
 }
 
 // planner carries one optimization pass: the session (for catalog
-// cardinalities and harvested actuals) and the decisions taken.
+// cardinalities and harvested actuals) and, under EXPLAIN, the decisions
+// taken.
 type planner struct {
 	s       *Session
+	explain bool // record choices; a plain SELECT builds no EXPLAIN text
 	choices []planChoice
 }
 
 // optimize lowers a logical expression to its physical plan. The input
 // must already be selection-pushed (the Select execution path reuses the
-// canonical rewrite it computed for the cache key). Returns the physical
-// plan and the costed decisions for EXPLAIN.
-func (s *Session) optimize(rewritten algebra.Expr) (algebra.Expr, []planChoice) {
-	p := &planner{s: s}
+// canonical rewrite it computed for the cache key). With explain set it
+// also returns the costed decisions, rendered for EXPLAIN; without it the
+// planner formats nothing.
+func (s *Session) optimize(rewritten algebra.Expr, explain bool) (algebra.Expr, []planChoice) {
+	p := &planner{s: s, explain: explain}
 	return p.rewrite(rewritten), p.choices
 }
 
@@ -121,14 +124,18 @@ func (p *planner) chooseAccess(sel *algebra.Select, base *algebra.Base) algebra.
 		desc string
 		cost float64
 	}
-	best := candidate{expr: sel, desc: "scan(" + base.Name + ")", cost: scanCost}
+	best := candidate{expr: sel, cost: scanCost}
+	if p.explain {
+		best.desc = "scan(" + base.Name + ")"
+	}
 	var rejected []string
 	consider := func(c candidate) {
+		loser := c
 		if c.cost < best.cost {
-			rejected = append(rejected, fmt.Sprintf("%s (est cost %.1f)", best.desc, best.cost))
-			best = c
-		} else {
-			rejected = append(rejected, fmt.Sprintf("%s (est cost %.1f)", c.desc, c.cost))
+			loser, best = best, c
+		}
+		if p.explain {
+			rejected = append(rejected, fmt.Sprintf("%s (est cost %.1f)", loser.desc, loser.cost))
 		}
 	}
 
@@ -263,7 +270,7 @@ func (p *planner) buildProbe(sel *algebra.Select, base *algebra.Base, def *catal
 	ix.Residual = andOfPreds(rest)
 
 	out := math.Max(n*sl, 0)
-	if act, ok := p.actual(ix.String()); ok {
+	if act, ok := p.actual(ix); ok {
 		out = act
 	}
 	cost := 1 + out // bucket lookup + emitted rows
@@ -272,7 +279,9 @@ func (p *planner) buildProbe(sel *algebra.Select, base *algebra.Base, def *catal
 	}
 	res := zero
 	res.expr = ix
-	res.desc = ixDesc(ix)
+	if p.explain {
+		res.desc = ixDesc(ix)
+	}
 	res.cost = cost
 	return res, true
 }
@@ -460,7 +469,8 @@ func (p *planner) reorderChain(j *algebra.Join) (algebra.Expr, bool) {
 			cols[g] = remap(g)
 		}
 		out = &algebra.Project{Cols: cols, Child: acc}
-
+	}
+	if !identity && p.explain {
 		names := make([]string, n)
 		for i, t := range order {
 			names[i] = termName(terms[t])
@@ -510,7 +520,7 @@ func termName(e algebra.Expr) string {
 // estCard estimates an expression's output cardinality, preferring the
 // session's harvested EXPLAIN ANALYZE actuals over guesses.
 func (p *planner) estCard(e algebra.Expr) float64 {
-	if act, ok := p.actual(e.String()); ok {
+	if act, ok := p.actual(e); ok {
 		return act
 	}
 	switch n := e.(type) {
@@ -548,11 +558,13 @@ func (p *planner) tableCard(name string) float64 {
 	return 1000 // view snapshot or unknown relation
 }
 
-func (p *planner) actual(key string) (float64, bool) {
+// actual looks up e's harvested cardinality. Actuals are keyed by plan
+// string, so e is printed only when the session holds some.
+func (p *planner) actual(e algebra.Expr) (float64, bool) {
 	if p.s.actuals == nil {
 		return 0, false
 	}
-	n, ok := p.s.actuals[key]
+	n, ok := p.s.actuals[e.String()]
 	return float64(n), ok
 }
 

@@ -86,25 +86,34 @@ type Metrics struct {
 	ExecErrs   metrics.Counter
 	ParseNanos metrics.Histogram
 	ExecNanos  metrics.Histogram
+	// StmtCacheHits and StmtCacheMisses count SELECT texts run through
+	// Session.Exec that were (or were not) answered from the statement
+	// cache without parsing or planning.
+	StmtCacheHits   metrics.Counter
+	StmtCacheMisses metrics.Counter
 }
 
 // MetricsSnapshot is a point-in-time copy shaped for JSON export.
 type MetricsSnapshot struct {
-	Statements map[string]int64          `json:"statements,omitempty"`
-	ParseErrs  int64                     `json:"parse_errors"`
-	ExecErrs   int64                     `json:"exec_errors"`
-	ParseNanos metrics.HistogramSnapshot `json:"parse_nanos"`
-	ExecNanos  metrics.HistogramSnapshot `json:"exec_nanos"`
+	Statements      map[string]int64          `json:"statements,omitempty"`
+	ParseErrs       int64                     `json:"parse_errors"`
+	ExecErrs        int64                     `json:"exec_errors"`
+	ParseNanos      metrics.HistogramSnapshot `json:"parse_nanos"`
+	ExecNanos       metrics.HistogramSnapshot `json:"exec_nanos"`
+	StmtCacheHits   int64                     `json:"stmt_cache_hits"`
+	StmtCacheMisses int64                     `json:"stmt_cache_misses"`
 }
 
 // Snapshot copies the counters. Kinds with a zero count are omitted so the
 // JSON stays readable.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	s := MetricsSnapshot{
-		ParseErrs:  m.ParseErrs.Load(),
-		ExecErrs:   m.ExecErrs.Load(),
-		ParseNanos: m.ParseNanos.Snapshot(),
-		ExecNanos:  m.ExecNanos.Snapshot(),
+		ParseErrs:       m.ParseErrs.Load(),
+		ExecErrs:        m.ExecErrs.Load(),
+		ParseNanos:      m.ParseNanos.Snapshot(),
+		ExecNanos:       m.ExecNanos.Snapshot(),
+		StmtCacheHits:   m.StmtCacheHits.Load(),
+		StmtCacheMisses: m.StmtCacheMisses.Load(),
 	}
 	for k := StmtKind(0); k < numStmtKinds; k++ {
 		if n := m.Statements[k].Load(); n > 0 {

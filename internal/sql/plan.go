@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"container/list"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -94,6 +95,11 @@ type Session struct {
 	// them over its selectivity guesses, so analyzing a query teaches the
 	// session real cardinalities for subsequent plans.
 	actuals map[string]int
+	// stmts is the statement cache: exact SELECT text → its prepared
+	// form (an element of stmtLRU), so a repeated text skips parsing and
+	// logical planning (see stmtcache.go). Bounded by stmtCacheSize.
+	stmts   map[string]*list.Element
+	stmtLRU list.List
 }
 
 // ViewReads returns the session's cumulative count of view resolutions
@@ -147,8 +153,13 @@ func (s *Session) PlanQueryTraced(q string, tid trace.ID) (algebra.Expr, error) 
 	return s.PlanQuery(q)
 }
 
-// Exec parses and executes one statement.
+// Exec parses and executes one statement. A SELECT text the session ran
+// before is served from its statement cache, skipping the parse and the
+// logical planning.
 func (s *Session) Exec(input string) (*Result, error) {
+	if p := s.lookupPrepared(input); p != nil {
+		return s.execTraced(p.sel, input, p)
+	}
 	start := time.Now()
 	stmt, err := Parse(input)
 	s.m.ParseNanos.Observe(time.Since(start).Nanoseconds())
@@ -156,7 +167,7 @@ func (s *Session) Exec(input string) (*Result, error) {
 		s.m.ParseErrs.Inc()
 		return nil, err
 	}
-	return s.execTraced(stmt, input)
+	return s.execTraced(stmt, input, nil)
 }
 
 // ExecScript executes a semicolon-separated script, stopping at the first
@@ -179,9 +190,10 @@ func (s *Session) ExecScript(input string) (*Result, error) {
 	return res, nil
 }
 
-// ExecStmt executes a parsed statement.
+// ExecStmt executes a parsed statement. Having no text, it bypasses the
+// statement cache.
 func (s *Session) ExecStmt(stmt Statement) (*Result, error) {
-	return s.execTraced(stmt, "")
+	return s.execTraced(stmt, "", nil)
 }
 
 // execTraced wraps execStmt with the per-statement observability: a
@@ -189,11 +201,10 @@ func (s *Session) ExecStmt(stmt Statement) (*Result, error) {
 // operation the statement performs), metrics, and — when the engine's
 // slow-query threshold is set — a span tree that is recorded in the
 // slow-query log if the statement's wall time reaches the threshold.
-func (s *Session) execTraced(stmt Statement, input string) (*Result, error) {
+// src is the statement's text ("" for ExecStmt) and p its statement-cache
+// entry on a hit.
+func (s *Session) execTraced(stmt Statement, src string, p *prepared) (*Result, error) {
 	kind := kindOf(stmt)
-	if input == "" {
-		input = kind.String() // ExecStmt callers have no source text
-	}
 	s.m.Statements[kind].Inc()
 	s.tid = trace.NextID()
 	s.span = nil
@@ -202,7 +213,7 @@ func (s *Session) execTraced(stmt Statement, input string) (*Result, error) {
 		s.span = trace.Begin(kind.String())
 	}
 	start := time.Now()
-	res, err := s.execStmt(stmt)
+	res, err := s.execStmt(stmt, src, p)
 	elapsed := time.Since(start)
 	s.m.ExecNanos.Observe(elapsed.Nanoseconds())
 	if err != nil {
@@ -219,8 +230,11 @@ func (s *Session) execTraced(stmt Statement, input string) (*Result, error) {
 			if res != nil {
 				tick = res.At
 			}
+			if src == "" {
+				src = kind.String() // ExecStmt callers have no source text
+			}
 			s.eng.Traces().Add(trace.Trace{
-				ID: s.tid, Stmt: input, Tick: tick, Total: elapsed, Root: s.span,
+				ID: s.tid, Stmt: src, Tick: tick, Total: elapsed, Root: s.span,
 			})
 		}
 		s.span = nil
@@ -228,7 +242,7 @@ func (s *Session) execTraced(stmt Statement, input string) (*Result, error) {
 	return res, err
 }
 
-func (s *Session) execStmt(stmt Statement) (*Result, error) {
+func (s *Session) execStmt(stmt Statement, src string, p *prepared) (*Result, error) {
 	switch st := stmt.(type) {
 	case *CreateTable:
 		cols := make([]tuple.Column, len(st.Cols))
@@ -253,49 +267,7 @@ func (s *Session) execStmt(stmt Statement) (*Result, error) {
 		return s.execDelete(st)
 
 	case *Select:
-		viewsBefore := s.viewReads
-		sp := s.span.Child("plan")
-		expr, err := s.planSelect(st)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		// The cache key is the canonical (selection-pushed) LOGICAL plan
-		// string — ORDER BY/LIMIT are presentation-level and applied
-		// after, so differently-dressed readings of the same relation
-		// share an entry, and indexed and unindexed engines share keys
-		// because physical access-path choices never enter the key.
-		// Plans that resolved a view are uncacheable: their tree embeds a
-		// point-in-time view snapshot.
-		rewritten := algebra.PushDownSelections(expr)
-		key := ""
-		if s.viewReads == viewsBefore {
-			key = rewritten.String()
-		}
-		// Execute the cost-based physical plan: index probes for sargable
-		// selections, reordered joins, chosen build sides. Every
-		// substitution preserves rows, per-tuple expiration times and the
-		// derived validity interval, so the logical key stays honest.
-		phys, _ := s.optimize(rewritten)
-		sp = s.span.Child("execute")
-		qr, err := s.eng.QueryStamped(phys, key, s.tid)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		if qr.Cached {
-			s.span.Set("cache", "hit")
-		}
-		// At is the tick the evaluation actually used (read under the
-		// query's locks), not a re-read of the clock that a concurrent
-		// Advance could have moved since.
-		res := &Result{Rel: qr.Rel, At: qr.At, Validity: qr.Validity, Cached: qr.Cached}
-		if len(st.OrderBy) > 0 || st.Limit >= 0 {
-			if err := s.orderAndLimit(st, expr, res); err != nil {
-				return nil, err
-			}
-		}
-		return res, nil
+		return s.execSelect(st, src, p)
 
 	case *CreateView:
 		return s.execCreateView(st)
@@ -360,6 +332,44 @@ func (s *Session) execStmt(stmt Statement) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
 	}
+}
+
+// execSelect runs a SELECT: the statement cache's prepared form when p
+// is set, otherwise a freshly lowered one; then a result-cache probe, and
+// only on a miss the cost-based physical plan and its evaluation.
+func (s *Session) execSelect(st *Select, src string, p *prepared) (*Result, error) {
+	if p == nil {
+		var err error
+		if p, err = s.prepare(st, src); err != nil {
+			return nil, err
+		}
+	}
+	// Execute the cost-based physical plan: index probes for sargable
+	// selections, reordered joins, chosen build sides. Every substitution
+	// preserves rows, per-tuple expiration times and the derived validity
+	// interval, so the logical key stays honest.
+	sp := s.span.Child("execute")
+	qr, err := s.eng.QueryStamped(p.key, func() algebra.Expr {
+		phys, _ := s.optimize(p.logical, false)
+		return phys
+	}, s.tid)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	if qr.Cached {
+		s.span.Set("cache", "hit")
+	}
+	// At is the tick the evaluation actually used (read under the query's
+	// locks), not a re-read of the clock that a concurrent Advance could
+	// have moved since.
+	res := &Result{Rel: qr.Rel, At: qr.At, Validity: qr.Validity, Cached: qr.Cached}
+	if len(st.OrderBy) > 0 || st.Limit >= 0 {
+		if err := s.orderAndLimit(st, p.logical, res); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }
 
 func (s *Session) execInsert(st *Insert) (*Result, error) {
@@ -637,7 +647,7 @@ func (s *Session) execExplain(st *Explain) (*Result, error) {
 		return nil, err
 	}
 	rewritten := algebra.PushDownSelections(expr)
-	phys, choices := s.optimize(rewritten)
+	phys, choices := s.optimize(rewritten, true)
 	if st.Analyze {
 		key := ""
 		if s.viewReads == viewsBefore {

@@ -448,4 +448,3 @@ func (d *decoder) schema() tuple.Schema {
 	}
 	return tuple.Schema{Cols: cols}
 }
-

@@ -474,7 +474,7 @@ func (s *Server) respond(req *Request) *Response {
 			if sess.ViewReads() == viewsBefore {
 				key = algebra.PushDownSelections(expr).String()
 			}
-			qr, err := s.eng.QueryStamped(expr, key, tid)
+			qr, err := s.eng.QueryStamped(key, func() algebra.Expr { return expr }, tid)
 			if err != nil {
 				resp.Err = err.Error()
 				return resp

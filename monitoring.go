@@ -210,6 +210,8 @@ func (db *DB) WritePrometheus(w io.Writer) error {
 	p.Counter("expdb_sql_exec_errors_total", "SQL execution errors.", nil, sm.ExecErrs)
 	p.Histogram("expdb_sql_parse_nanos", "SQL parse latency.", nil, sm.ParseNanos)
 	p.Histogram("expdb_sql_exec_nanos", "SQL execution latency.", nil, sm.ExecNanos)
+	p.Counter("expdb_sql_stmt_cache_hits_total", "SELECT texts served from the statement cache.", nil, sm.StmtCacheHits)
+	p.Counter("expdb_sql_stmt_cache_misses_total", "SELECT texts parsed and planned.", nil, sm.StmtCacheMisses)
 
 	db.mu.Lock()
 	servers := append([]*wire.Server(nil), db.wireServers...)
