@@ -98,11 +98,11 @@ func RunE12(w io.Writer) error {
 	recoverWall := time.Since(start)
 	t.add("durable (snapshot)", loadWall, info.Rows, info.Records, recoverWall)
 	if info.Pending != info.Rows {
-		return fmt.Errorf("e12: re-derived schedule has %d events for %d rows", info.Pending, info.Rows)
+		return fmt.Errorf("e12: rebuilt expiration index has %d entries for %d rows", info.Pending, info.Rows)
 	}
 
-	// The catch-up advance fires every expiration the recovered schedule
-	// holds, proving the schedule survives the WAL round trip.
+	// The catch-up advance fires every expiration the recovered index
+	// holds, proving the index survives the WAL round trip.
 	if err := snapped.Advance(horizon + 1); err != nil {
 		return err
 	}
@@ -115,7 +115,7 @@ func RunE12(w io.Writer) error {
 
 	t.write(w)
 	fmt.Fprintln(w, "shape: logging costs one fsync-batched append per mutation; snapshot recovery")
-	fmt.Fprintln(w, "skips log replay entirely, and the expiry schedule is re-derived from stored")
-	fmt.Fprintln(w, "texp either way — the scheduler is a cache, never durable state.")
+	fmt.Fprintln(w, "skips log replay entirely, and the expiration index is rebuilt from stored")
+	fmt.Fprintln(w, "texp either way — the index is a cache, never durable state.")
 	return nil
 }

@@ -15,7 +15,7 @@ import (
 // database.
 //
 // The paper's premise — every tuple carries a durable texp, and the
-// whole expiry schedule is a cache re-derivable from stored texp values
+// whole expiration index is a cache rebuildable from stored texp values
 // — gives this engine a degradation story ordinary databases don't
 // have. When the WAL's disk fails, the in-memory state remains provably
 // valid: reads, view serving, the result cache and Advance/expiry keep
@@ -264,7 +264,7 @@ func (e *Engine) recoverDiskLocked() error {
 		e.mu.RLock()
 		now := e.now
 		e.mu.RUnlock()
-		events = e.sweepTables(now, trace.NextID(), false)
+		events = e.removeExpired(now, false, trace.NextID(), false)
 		old.ReleaseReserve()
 	}
 

@@ -329,70 +329,62 @@ func TestDiskFaultProperty(t *testing.T) {
 		{"torn-write", func(ffs *vfs.FaultFS) { ffs.TornWrite(5) }},
 		{"enospc", func(ffs *vfs.FaultFS) { ffs.SetQuota(ffs.Used() + 4) }},
 	}
-	// Eager scheduling only: the ENOSPC reclamation sweep physically
-	// removes dead rows, which under lazy sweeping would diverge from a
-	// memory-only oracle that never swept.
-	configs := []struct {
-		name string
-		opts []Option
-	}{
-		{"heap", []Option{WithScheduler(SchedulerHeap)}},
-		{"wheel", []Option{WithScheduler(SchedulerWheel)}},
-	}
+	// Eager removal only, on the per-table texp heaps (the "heap" in each
+	// subtest name): the ENOSPC reclamation sweep physically removes dead
+	// rows, which under lazy sweeping would diverge from a memory-only
+	// oracle that never swept.
 	for _, fault := range faults {
-		for _, cfg := range configs {
-			for seed := int64(1); seed <= 3; seed++ {
-				t.Run(fmt.Sprintf("%s/%s/seed=%d", fault.name, cfg.name, seed), func(t *testing.T) {
-					dir := t.TempDir()
-					ffs := vfs.NewFault(vfs.OS())
-					e := openFaulty(t, dir, ffs, cfg.opts...)
-					oracle := New(cfg.opts...)
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/heap/seed=%d", fault.name, seed), func(t *testing.T) {
+				dir := t.TempDir()
+				ffs := vfs.NewFault(vfs.OS())
+				e := openFaulty(t, dir, ffs)
+				oracle := New()
 
-					ops := genOps(seed)
-					faultAt := len(ops)/4 + int(seed*7)%(len(ops)/2)
-					for i, op := range ops {
-						if i == faultAt {
-							fault.arm(ffs)
-						}
-						applied, err := applyOpErr(e, op)
-						if err != nil && !errors.Is(err, ErrReadOnly) &&
-							!errors.Is(err, vfs.ErrInjected) {
-							t.Fatalf("op %d (%c): unexpected error class: %v", i, op.kind, err)
-						}
-						if applied {
-							applyOp(t, oracle, op)
-						} else if !errors.Is(err, ErrReadOnly) {
-							t.Fatalf("op %d (%c) not applied but err = %v, want ErrReadOnly", i, op.kind, err)
-						}
+				ops := genOps(seed)
+				faultAt := len(ops)/4 + int(seed*7)%(len(ops)/2)
+				for i, op := range ops {
+					if i == faultAt {
+						fault.arm(ffs)
 					}
+					applied, err := applyOpErr(e, op)
+					if err != nil && !errors.Is(err, ErrReadOnly) &&
+						!errors.Is(err, vfs.ErrInjected) {
+						t.Fatalf("op %d (%c): unexpected error class: %v", i, op.kind, err)
+					}
+					if applied {
+						applyOp(t, oracle, op)
+					} else if !errors.Is(err, ErrReadOnly) {
+						t.Fatalf("op %d (%c) not applied but err = %v, want ErrReadOnly", i, op.kind, err)
+					}
+				}
 
-					// Reads stay oracle-correct, degraded or not.
-					sameState(t, "mid-fault", e, oracle)
+				// Reads stay oracle-correct, degraded or not.
+				sameState(t, "mid-fault", e, oracle)
 
-					// Heal the disk and force recovery: the full in-memory
-					// state must become durable.
-					ffs.Heal()
-					ffs.SetQuota(-1)
-					if err := e.TryDiskRecovery(); err != nil {
-						t.Fatalf("recovery after heal: %v", err)
-					}
-					if got := e.DurabilityState(); got != DurabilityHealthy {
-						t.Fatalf("state = %v, want healthy", got)
-					}
-					sameState(t, "post-recovery", e, oracle)
-					if err := e.Insert("sess_a", tuple.Ints(99999, 0), e.Now()+50); err != nil {
-						t.Fatalf("post-recovery insert: %v", err)
-					}
-					applyOp(t, oracle, walOp{kind: 'i', table: "sess_a",
-						tup: tuple.Ints(99999, 0), texp: e.Now() + 50})
-					if err := e.CloseDurability(); err != nil {
-						t.Fatalf("close: %v", err)
-					}
+				// Heal the disk and force recovery: the full in-memory
+				// state must become durable.
+				ffs.Heal()
+				ffs.SetQuota(-1)
+				if err := e.TryDiskRecovery(); err != nil {
+					t.Fatalf("recovery after heal: %v", err)
+				}
+				if got := e.DurabilityState(); got != DurabilityHealthy {
+					t.Fatalf("state = %v, want healthy", got)
+				}
+				sameState(t, "post-recovery", e, oracle)
+				if err := e.Insert("sess_a", tuple.Ints(99999, 0), e.Now()+50); err != nil {
+					t.Fatalf("post-recovery insert: %v", err)
+				}
+				applyOp(t, oracle, walOp{kind: 'i', table: "sess_a",
+					tup: tuple.Ints(99999, 0), texp: e.Now() + 50})
+				if err := e.CloseDurability(); err != nil {
+					t.Fatalf("close: %v", err)
+				}
 
-					rebooted, _ := openDurable(t, dir, cfg.opts...)
-					sameState(t, "post-reboot", rebooted, oracle)
-				})
-			}
+				rebooted, _ := openDurable(t, dir)
+				sameState(t, "post-reboot", rebooted, oracle)
+			})
 		}
 	}
 }

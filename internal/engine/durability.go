@@ -5,11 +5,9 @@ import (
 	"sort"
 
 	"expdb/internal/catalog"
-	"expdb/internal/pqueue"
 	"expdb/internal/relation"
 	"expdb/internal/trace"
 	"expdb/internal/wal"
-	"expdb/internal/wheel"
 	"expdb/internal/xtime"
 )
 
@@ -22,10 +20,10 @@ import (
 // operations a crash must reconstruct are logged: inserts (with the
 // resolved absolute texp), deletes, clock advances, sweeps and DDL.
 // Expiration removals are never logged individually — they are implied
-// by the advance/sweep record that caused them, and the whole expiry
-// schedule is re-derived from stored texp values at recovery, exactly as
-// the paper's model permits: texp is durable metadata, the wheel/heap is
-// a cache over it.
+// by the advance/sweep record that caused them, and the expiration index
+// (the per-table texp heaps) is rebuilt from stored texp values at
+// recovery, exactly as the paper's model permits: texp is durable
+// metadata, the index is a cache over it.
 //
 // Trigger semantics across a crash: an advance's record is durable
 // before its ON-EXPIRE triggers run, so replay never re-fires a trigger
@@ -56,7 +54,8 @@ type RecoveryInfo struct {
 	// Truncated reports that a torn or corrupt log tail was cut back to
 	// the last valid record.
 	Truncated bool
-	// Pending is the size of the re-derived expiration schedule.
+	// Pending is the size of the rebuilt expiration index: one entry per
+	// recovered finite-texp row.
 	Pending int
 	// TraceID tags the recovery: the boot lifecycle event carries it, and
 	// the first Advance after recovery — the catch-up batch that fires
@@ -80,7 +79,7 @@ func (e *Engine) DurabilityDir() string { return e.walDir }
 // OpenDurability opens (or creates) the write-ahead log in the engine's
 // configured directory and recovers any prior state: the highest
 // complete snapshot, the log suffix on top of it, and the expiration
-// schedule re-derived from the recovered texp values. compileView
+// index rebuilt from the recovered texp values. compileView
 // recompiles a logged CREATE VIEW statement (the facade passes the SQL
 // session's Exec); it may be nil if no views will ever be logged.
 //
@@ -148,7 +147,7 @@ func (e *Engine) CloseDurability() error {
 }
 
 // replay rebuilds engine state from disk: snapshot, then log suffix,
-// then schedule re-derivation. Runs with e.recovering set, so the apply
+// then the expiration index. Runs with e.recovering set, so the apply
 // paths it calls into do not re-log.
 func (e *Engine) replay(r *wal.Recovered) (*RecoveryInfo, error) {
 	info := &RecoveryInfo{TraceID: trace.NextID(), SnapshotGen: r.SnapshotGen}
@@ -161,7 +160,7 @@ func (e *Engine) replay(r *wal.Recovered) (*RecoveryInfo, error) {
 			if err != nil {
 				return nil, fmt.Errorf("engine: recover table %s: %w", t.Name, err)
 			}
-			rel.EnableTexpIndex()
+			rel.EnableTexpIndex(&e.m.Texp)
 			for _, row := range t.Rows {
 				// Decoded tuples are fresh memory the relation may own.
 				rel.InsertOwned(row.Tuple.Key(), row.Tuple, row.Texp)
@@ -195,7 +194,15 @@ func (e *Engine) replay(r *wal.Recovered) (*RecoveryInfo, error) {
 	for _, nt := range e.cat.TableSet() {
 		info.Rows += nt.Rel.Len()
 	}
-	info.Pending = e.rederiveSchedule()
+	// Replayed deletes and extensions left superseded pairs in the texp
+	// heaps: shed them, so the expiration index holds exactly one pair per
+	// finite-texp row, and make the first advance walk every table —
+	// expirations missed during downtime are due at once.
+	for _, nt := range e.cat.TableSet() {
+		nt.Rel.RebuildTexpIndex()
+	}
+	info.Pending = int(e.m.Texp.Pending.Load())
+	e.nextDue = 0
 	return info, nil
 }
 
@@ -228,8 +235,13 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 		if err != nil {
 			return err
 		}
-		rel.EnableTexpIndex()
+		rel.EnableTexpIndex(&e.m.Texp)
 	case wal.KindDropTable:
+		rel, err := e.cat.Table(rec.Name)
+		if err != nil {
+			return err
+		}
+		rel.DisableTexpIndex()
 		if err := e.cat.DropTable(rec.Name); err != nil {
 			return err
 		}
@@ -258,8 +270,8 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 
 // replayAdvance moves the recovering clock to to, physically removing
 // exactly the tuples the original advance removed — without firing
-// triggers (they fired before the crash) and without touching the
-// scheduler (the schedule is re-derived afterwards).
+// triggers (they fired before the crash). The texp heaps it pops are
+// rebuilt once replay ends.
 func (e *Engine) replayAdvance(to xtime.Time) {
 	if e.sweepMode == SweepEager {
 		// Eager expiry removed every tuple with texp ≤ to at the tick it
@@ -299,32 +311,6 @@ func (e *Engine) recoverView(name, def string) error {
 	}
 	e.viewDefs[name] = def
 	return nil
-}
-
-// rederiveSchedule rebuilds the eager expiry schedule from the recovered
-// texp values: one event per alive finite-texp row, zero stale entries —
-// the re-derivation the paper's durable-texp premise promises. The
-// scheduler structures are rebuilt from scratch (the wheel repositioned
-// at the recovered clock), so a large downtime Δt costs nothing beyond
-// the live rows. Returns the number of scheduled events.
-func (e *Engine) rederiveSchedule() int {
-	e.heap = pqueue.New[expiryEvent](0)
-	e.timeWheel = wheel.New[expiryEvent](e.now)
-	e.stale = 0
-	if e.sweepMode != SweepEager {
-		return 0
-	}
-	n := 0
-	for _, nt := range e.cat.TableSet() {
-		table := nt.Name
-		nt.Rel.All(func(row relation.Row) {
-			if row.Texp.IsFinite() {
-				e.schedule(table, row.Tuple.Key(), row.Texp)
-				n++
-			}
-		})
-	}
-	return n
 }
 
 // walAppend logs one record. Callers hold e.mu (that is what makes WAL

@@ -186,8 +186,9 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"eager-heap", []Option{WithScheduler(SchedulerHeap)}},
-		{"eager-wheel", []Option{WithScheduler(SchedulerWheel)}},
+		// Eager removal runs on the per-table texp heaps, the engine's
+		// one expiration index.
+		{"eager-heap", nil},
 		{"lazy-16", []Option{WithSweep(SweepLazy, 16)}},
 	}
 	for _, cfg := range configs {
@@ -231,21 +232,19 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				}
 				sameState(t, "post-recovery", recovered, oracle)
 
-				// The re-derived schedule carries every remaining finite
-				// row and nothing stale.
-				if cfg.name != "lazy-16" {
-					finite := 0
-					for _, rows := range tableRows(recovered) {
-						for _, texp := range rows {
-							if texp.IsFinite() {
-								finite++
-							}
+				// The rebuilt expiration index carries exactly one entry
+				// per remaining finite row: nothing superseded by the
+				// replayed deletes and extensions.
+				finite := 0
+				for _, rows := range tableRows(recovered) {
+					for _, texp := range rows {
+						if texp.IsFinite() {
+							finite++
 						}
 					}
-					pending, stale := recovered.SchedulerLoad()
-					if pending != finite || stale != 0 {
-						t.Errorf("schedule = (%d pending, %d stale), want (%d, 0)", pending, stale, finite)
-					}
+				}
+				if pending := recovered.Metrics().Scheduler.Pending; pending != finite || info.Pending != finite {
+					t.Errorf("index = %d pending (recovery reported %d), want %d", pending, info.Pending, finite)
 				}
 
 				// From here both engines must fire identical triggers at
@@ -284,86 +283,86 @@ func TestCrashRecoveryProperty(t *testing.T) {
 // TestRecoveryCatchUpAdvance: expirations whose tick passed while the
 // engine was "down" (the clock jump happens in the first advance after
 // boot) fire exactly once, at their original texp, under the recovery
-// trace ID — for both scheduler backends, across a large Δt.
+// trace ID, across a large Δt.
 func TestRecoveryCatchUpAdvance(t *testing.T) {
-	for _, sched := range []SchedulerKind{SchedulerHeap, SchedulerWheel} {
-		t.Run(sched.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			e, _ := openDurable(t, dir, WithScheduler(sched))
-			if err := e.CreateTable("s", tuple.IntCols("id")); err != nil {
+	// Eager removal on the per-table texp heaps, the one expiration index.
+	t.Run("heap", func(t *testing.T) {
+		dir := t.TempDir()
+		e, _ := openDurable(t, dir)
+		if err := e.CreateTable("s", tuple.IntCols("id")); err != nil {
+			t.Fatal(err)
+		}
+		const n = 500
+		for i := int64(0); i < n; i++ {
+			// Expirations spread over a wide range, some far out.
+			if err := e.Insert("s", tuple.Ints(i), xtime.Time(10+i*37)); err != nil {
 				t.Fatal(err)
 			}
-			const n = 500
-			for i := int64(0); i < n; i++ {
-				// Expirations spread over a wide range, some far out.
-				if err := e.Insert("s", tuple.Ints(i), xtime.Time(10+i*37)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e.Insert("s", tuple.Ints(int64(n)), xtime.Infinity); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Advance(5); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := e.Insert("s", tuple.Ints(int64(n)), xtime.Infinity); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Advance(5); err != nil {
+			t.Fatal(err)
+		}
 
-			// Crash, recover.
-			e2, info := openDurable(t, dir, WithScheduler(sched))
-			if pending, stale := e2.SchedulerLoad(); pending != n || stale != 0 {
-				t.Fatalf("re-derived schedule = (%d, %d), want (%d, 0)", pending, stale, n)
-			}
-			fired := recordFirings(t, e2, "s")
+		// Crash, recover.
+		e2, info := openDurable(t, dir)
+		if pending := e2.Metrics().Scheduler.Pending; pending != n {
+			t.Fatalf("rebuilt index = %d entries, want %d", pending, n)
+		}
+		fired := recordFirings(t, e2, "s")
 
-			// One catch-up advance across a large Δt fires everything.
-			const horizon = xtime.Time(1 << 30)
-			if err := e2.Advance(horizon); err != nil {
-				t.Fatal(err)
+		// One catch-up advance across a large Δt fires everything.
+		const horizon = xtime.Time(1 << 30)
+		if err := e2.Advance(horizon); err != nil {
+			t.Fatal(err)
+		}
+		if len(*fired) != n {
+			t.Fatalf("fired %d triggers, want %d", len(*fired), n)
+		}
+		seen := make(map[string]xtime.Time)
+		for _, f := range *fired {
+			if _, dup := seen[f.key]; dup {
+				t.Errorf("row %q fired twice", f.key)
 			}
-			if len(*fired) != n {
-				t.Fatalf("fired %d triggers, want %d", len(*fired), n)
+			seen[f.key] = f.at
+		}
+		for i := int64(0); i < n; i++ {
+			key := tuple.Ints(i).Key()
+			if at, ok := seen[key]; !ok || at != xtime.Time(10+i*37) {
+				t.Errorf("row %d fired at %v, want %v", i, at, xtime.Time(10+i*37))
 			}
-			seen := make(map[string]xtime.Time)
-			for _, f := range *fired {
-				if _, dup := seen[f.key]; dup {
-					t.Errorf("row %q fired twice", f.key)
-				}
-				seen[f.key] = f.at
+		}
+		if pending := e2.Metrics().Scheduler.Pending; pending != 0 {
+			t.Errorf("index after catch-up = %d entries, want 0", pending)
+		}
+		// The catch-up batch carries the recovery trace ID.
+		var expiryTrace trace.ID
+		for _, ev := range e2.Events().Snapshot(0) {
+			if ev.Kind == trace.EvExpiry {
+				expiryTrace = ev.Trace
+				break
 			}
-			for i := int64(0); i < n; i++ {
-				key := tuple.Ints(i).Key()
-				if at, ok := seen[key]; !ok || at != xtime.Time(10+i*37) {
-					t.Errorf("row %d fired at %v, want %v", i, at, xtime.Time(10+i*37))
-				}
-			}
-			if pending, stale := e2.SchedulerLoad(); pending != 0 || stale != 0 {
-				t.Errorf("schedule after catch-up = (%d, %d), want (0, 0)", pending, stale)
-			}
-			// The catch-up batch carries the recovery trace ID.
-			var expiryTrace trace.ID
-			for _, ev := range e2.Events().Snapshot(0) {
-				if ev.Kind == trace.EvExpiry {
-					expiryTrace = ev.Trace
-					break
-				}
-			}
-			if expiryTrace != info.TraceID {
-				t.Errorf("catch-up expiry trace = %v, want recovery trace %v", expiryTrace, info.TraceID)
-			}
-			// A second advance must not re-fire anything (and the
-			// Infinity row must never fire at all).
-			if err := e2.Advance(horizon + 10); err != nil {
-				t.Fatal(err)
-			}
-			if len(*fired) != n {
-				t.Errorf("second advance re-fired: %d total firings, want %d", len(*fired), n)
-			}
-		})
-	}
+		}
+		if expiryTrace != info.TraceID {
+			t.Errorf("catch-up expiry trace = %v, want recovery trace %v", expiryTrace, info.TraceID)
+		}
+		// A second advance must not re-fire anything (and the Infinity row
+		// must never fire at all).
+		if err := e2.Advance(horizon + 10); err != nil {
+			t.Fatal(err)
+		}
+		if len(*fired) != n {
+			t.Errorf("second advance re-fired: %d total firings, want %d", len(*fired), n)
+		}
+	})
 }
 
-// TestRederivedScheduleStaleAccounting: deletes after recovery strand
-// exactly one re-derived event each; the stale count tracks them and
-// compaction/pop reclaims them without double-firing.
+// TestRederivedScheduleStaleAccounting: recovery rebuilds the expiration
+// index with one entry per finite row, even when the replayed log holds
+// deletes and lifetime extensions; deletes after recovery leave
+// superseded entries behind that expiry drops — counted, never fired.
 func TestRederivedScheduleStaleAccounting(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := openDurable(t, dir)
@@ -371,29 +370,43 @@ func TestRederivedScheduleStaleAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 100
-	for i := int64(0); i < n; i++ {
+	for i := int64(0); i < n+10; i++ {
 		if err := e.Insert("s", tuple.Ints(i), xtime.Time(100+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e2, _ := openDurable(t, dir)
+	// Logged churn the rebuild must shed: ten deletes, one extension.
+	for i := int64(n); i < n+10; i++ {
+		if _, err := e.Delete("s", tuple.Ints(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Insert("s", tuple.Ints(0), 150); err != nil {
+		t.Fatal(err)
+	}
+	e2, info := openDurable(t, dir)
+	if pending := e2.Metrics().Scheduler.Pending; pending != n || info.Pending != n {
+		t.Fatalf("rebuilt index = %d entries (recovery reported %d), want %d", pending, info.Pending, n)
+	}
 	for i := int64(0); i < n; i += 2 {
 		if ok, err := e2.Delete("s", tuple.Ints(i)); err != nil || !ok {
 			t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	if pending, stale := e2.SchedulerLoad(); pending != n || stale != n/2 {
-		t.Fatalf("schedule = (%d, %d), want (%d, %d)", pending, stale, n, n/2)
+	if pending := e2.Metrics().Scheduler.Pending; pending != n {
+		t.Fatalf("index after deletes = %d entries, want %d (superseded ones linger)", pending, n)
 	}
 	fired := recordFirings(t, e2, "s")
+	dropped := e2.Metrics().StaleDropped
 	if err := e2.Advance(1000); err != nil {
 		t.Fatal(err)
 	}
 	if len(*fired) != n/2 {
 		t.Fatalf("fired %d, want %d", len(*fired), n/2)
 	}
-	if pending, stale := e2.SchedulerLoad(); pending != 0 || stale != 0 {
-		t.Errorf("schedule after advance = (%d, %d), want (0, 0)", pending, stale)
+	m := e2.Metrics()
+	if m.Scheduler.Pending != 0 || m.StaleDropped-dropped != n/2 {
+		t.Errorf("after advance: %d pending, %d stale dropped, want 0 and %d", m.Scheduler.Pending, m.StaleDropped-dropped, n/2)
 	}
 }
 
@@ -482,8 +495,8 @@ func TestConcurrentInsertCheckpoint(t *testing.T) {
 	if info.Rows != workers*each {
 		t.Fatalf("recovered %d rows, want %d", info.Rows, workers*each)
 	}
-	if pending, stale := e2.SchedulerLoad(); pending != workers*each || stale != 0 {
-		t.Errorf("schedule = (%d, %d), want (%d, 0)", pending, stale, workers*each)
+	if pending := e2.Metrics().Scheduler.Pending; pending != workers*each {
+		t.Errorf("index = %d entries, want %d", pending, workers*each)
 	}
 }
 

@@ -10,13 +10,15 @@
 // Concurrency: row storage is sharded behind per-table locks (the RWMutex
 // each relation.Relation carries), so inserts, deletes and queries on
 // different tables proceed in parallel. The engine's own mutex guards only
-// the clock, the expiry scheduler, triggers, watches and counters, and is
-// held for short, bounded sections. See DESIGN.md "Locking model" for the
-// lock hierarchy and ordering rules.
+// the clock, the eager-expiry watermark, triggers, watches and write
+// epochs, and is held for short, bounded sections. See DESIGN.md "Locking
+// model" for the lock hierarchy and ordering rules.
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,14 +26,12 @@ import (
 	"expdb/internal/algebra"
 	"expdb/internal/catalog"
 	"expdb/internal/monitor"
-	"expdb/internal/pqueue"
 	"expdb/internal/relation"
 	"expdb/internal/trace"
 	"expdb/internal/tuple"
 	"expdb/internal/vfs"
 	"expdb/internal/view"
 	"expdb/internal/wal"
-	"expdb/internal/wheel"
 	"expdb/internal/xtime"
 )
 
@@ -74,43 +74,14 @@ func (m SweepMode) String() string {
 	return "lazy"
 }
 
-// SchedulerKind selects the data structure driving eager expiration.
-type SchedulerKind uint8
-
-const (
-	// SchedulerHeap uses a binary min-heap: O(log n) per event.
-	SchedulerHeap SchedulerKind = iota
-	// SchedulerWheel uses a hierarchical timing wheel: O(1) amortised,
-	// the structure behind the "real-time performance guarantees" the
-	// paper cites.
-	SchedulerWheel
-)
-
-// String names the scheduler.
-func (k SchedulerKind) String() string {
-	if k == SchedulerHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
 // TriggerFunc is invoked when a tuple expires. at is the tick the trigger
 // fires; row.Texp is the tick the tuple expired (they differ under lazy
 // sweeping).
 type TriggerFunc func(table string, row relation.Row, at xtime.Time)
 
-// expiryEvent is a scheduled check that a tuple has expired. key is the
-// tuple's set key (tuple.Tuple.Key) within table; events carry keys
-// rather than tuples so scheduling never clones.
-type expiryEvent struct {
-	table string
-	key   string
-	texp  xtime.Time
-}
-
 // Stats carries engine counters — the legacy flat form, derived from the
-// richer Metrics snapshot (see Engine.Metrics for histograms, scheduler
-// load and the per-view maintenance split).
+// richer Metrics snapshot (see Engine.Metrics for histograms,
+// expiration-index depth and the per-view maintenance split).
 type Stats struct {
 	Inserts        int
 	Deletes        int
@@ -118,14 +89,8 @@ type Stats struct {
 	TriggersFired  int
 	TriggerLatency int64 // Σ (fire tick − expiration tick), lazy sweeping only
 	Sweeps         int
-	Compactions    int // stale-event compactions of the heap scheduler
+	Compactions    int // expiration-index rebuilds that shed stale pairs
 }
-
-// compactMinStale is the stale-event count below which the heap scheduler
-// never compacts; past it, compaction runs once stale events outnumber
-// live ones. Small enough to bound waste, large enough that steady-state
-// churn never pays the rebuild.
-const compactMinStale = 1024
 
 // Engine is an expiration-time-enabled in-memory database.
 //
@@ -139,9 +104,9 @@ type Engine struct {
 	// held and therefore must not call Advance or Sweep.
 	advMu sync.Mutex
 
-	// mu guards the clock, the eager scheduler, triggers, watches and
-	// stats. It is a leaf lock: never acquire any other engine lock while
-	// holding it.
+	// mu guards the clock, the eager-expiry watermark, triggers, watches
+	// and write epochs. It is a leaf lock: never acquire any other engine
+	// lock while holding it.
 	mu  sync.RWMutex
 	cat *catalog.Catalog
 	now xtime.Time
@@ -150,20 +115,12 @@ type Engine struct {
 	sweepEvery xtime.Time // lazy sweep period
 	lastSweep  xtime.Time
 
-	sched     SchedulerKind
-	heap      *pqueue.Queue[expiryEvent]
-	timeWheel *wheel.Wheel[expiryEvent]
-	// stale counts queued events that no longer match their tuple's
-	// stored expiration — superseded by a delete or a lifetime extension.
-	// The invariant backing the count: every row with a finite texp has
-	// exactly one live event queued (schedule runs exactly when an insert
-	// changes the stored row), so a delete or extension strands exactly
-	// one event, and a stranded event is detected — and the count
-	// decremented — when it pops and fails expireBatch's texp check, or
-	// when compaction discards it. Stale events waste scheduler memory
-	// but never fire: expireBatch only removes a tuple whose stored texp
-	// equals the event's.
-	stale int
+	// nextDue is a lower bound on every stored finite texp: the per-table
+	// texp heaps are the only expiration index, and an eager Advance below
+	// nextDue has nothing to expire, so it touches no table. Inserts lower
+	// it; each table walk (removeExpired) re-derives it from the table
+	// minima; recovery resets it to 0 so the first advance walks.
+	nextDue xtime.Time
 
 	// epochs counts writes per table name: Insert/Delete/DDL bump the
 	// table's epoch inside the same mu critical section that applies the
@@ -238,11 +195,6 @@ func WithSweep(mode SweepMode, period xtime.Time) Option {
 	}
 }
 
-// WithScheduler selects the eager scheduler backend.
-func WithScheduler(k SchedulerKind) Option {
-	return func(e *Engine) { e.sched = k }
-}
-
 // New returns an engine at tick 0.
 func New(opts ...Option) *Engine {
 	e := &Engine{
@@ -250,8 +202,7 @@ func New(opts ...Option) *Engine {
 		sweepEvery: 16,
 		triggers:   make(map[string][]TriggerFunc),
 		epochs:     make(map[string]uint64),
-		heap:       pqueue.New[expiryEvent](0),
-		timeWheel:  wheel.New[expiryEvent](0),
+		nextDue:    xtime.Infinity,
 		events:     trace.NewLog(DefaultEventLogCapacity),
 		traces:     trace.NewStore(DefaultTraceLogCapacity),
 		viewAgg:    &view.AggMetrics{},
@@ -283,19 +234,8 @@ func (e *Engine) Stats() Stats {
 		TriggersFired:  int(e.m.TriggersFired.Load()),
 		TriggerLatency: e.m.TriggerLagTicks.Load(),
 		Sweeps:         int(e.m.Sweeps.Load()),
-		Compactions:    int(e.m.Compactions.Load()),
+		Compactions:    int(e.m.Texp.Rebuilds.Load()),
 	}
-}
-
-// SchedulerLoad reports how many events the eager scheduler holds and how
-// many of them are stale. Exposed for tests and operational introspection.
-func (e *Engine) SchedulerLoad() (pending, stale int) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.sched == SchedulerWheel {
-		return e.timeWheel.Len(), e.stale
-	}
-	return e.heap.Len(), e.stale
 }
 
 // CreateTable registers a new base relation. DDL is logged and applied
@@ -309,10 +249,11 @@ func (e *Engine) CreateTable(name string, schema tuple.Schema) error {
 		e.mu.Unlock()
 		return err
 	}
-	// Engine-owned tables carry the texp-ordered index from birth, making
-	// NextExpiration a peek and sweeps O(k). Operator results (relations
-	// built by EvalStream collectors) never enable it.
-	rel.EnableTexpIndex()
+	// Engine-owned tables carry the texp-ordered index from birth: it is
+	// the engine's expiration index, making NextExpiration a peek and
+	// expiry O(k). Operator results (relations built by EvalStream
+	// collectors) never enable it.
+	rel.EnableTexpIndex(&e.m.Texp)
 	seq, err := e.walAppend(&wal.Record{Kind: wal.KindCreateTable, Name: name, Schema: schema})
 	if err != nil {
 		e.cat.DropTable(name) // un-apply: the log is poisoned
@@ -327,44 +268,31 @@ func (e *Engine) CreateTable(name string, schema tuple.Schema) error {
 	return nil
 }
 
-// DropTable removes a base relation. Under eager sweeping, every queued
-// expiry event of the dropped table becomes stale and is accounted so
-// scheduler compaction can reclaim it.
+// DropTable removes a base relation, releasing its expiration index.
 func (e *Engine) DropTable(name string) error {
 	rel, err := e.cat.Table(name)
 	if err != nil {
 		return err
 	}
-	// Hold the table's read lock across the drop so the count of queued
-	// events (one per finite-texp row) cannot drift between counting and
-	// dropping: writers on this table serialise behind it.
-	rel.RLock()
-	finite := 0
-	rel.All(func(row relation.Row) {
-		if row.Texp.IsFinite() {
-			finite++
-		}
-	})
+	rel.Lock()
 	e.mu.Lock()
 	if _, err := e.cat.Table(name); err != nil {
 		// Lost a race with a concurrent drop.
 		e.mu.Unlock()
-		rel.RUnlock()
+		rel.Unlock()
 		return err
 	}
 	seq, err := e.walAppend(&wal.Record{Kind: wal.KindDropTable, Name: name})
 	if err != nil {
 		e.mu.Unlock()
-		rel.RUnlock()
+		rel.Unlock()
 		return err
 	}
 	e.cat.DropTable(name)
 	e.epochs[name]++
-	if e.sweepMode == SweepEager {
-		e.stale += finite
-	}
 	e.mu.Unlock()
-	rel.RUnlock()
+	rel.DisableTexpIndex()
+	rel.Unlock()
 	if err := e.walSync(seq); err != nil {
 		return e.walFail(err, true)
 	}
@@ -447,22 +375,19 @@ func (e *Engine) insert(table string, t tuple.Tuple, texpAt func(xtime.Time) xti
 		rel.Unlock()
 		return err
 	}
-	changed, prev, had := rel.InsertKeyed(key, t, texp)
+	changed := rel.InsertKeyed(key, t, texp)
 	e.m.Inserts.Inc()
 	if changed {
 		// Invalidate cached results over this table. A no-change duplicate
 		// leaves every result identical, so it keeps the epoch too.
 		e.epochs[table]++
 	}
-	if changed && e.sweepMode == SweepEager {
-		if had && prev != xtime.Infinity {
-			// Lifetime extension: the event queued at prev is now stale.
-			e.stale++
-		}
-		e.schedule(table, key, texp)
+	// The table's texp heap took the one expiration-index push inside
+	// InsertKeyed (none for a no-change duplicate); the watermark only
+	// has to stay a lower bound.
+	if texp < e.nextDue {
+		e.nextDue = texp
 	}
-	// A no-change duplicate keeps its existing event; scheduling another
-	// would only grow the stale backlog.
 	e.mu.Unlock()
 	rel.Unlock()
 	if err := e.walSync(seq); err != nil {
@@ -486,7 +411,7 @@ func (e *Engine) Delete(table string, t tuple.Tuple) (bool, error) {
 	rel.Lock()
 	e.mu.Lock()
 	var seq uint64
-	row, ok := rel.RowByKey(key)
+	_, ok := rel.RowByKey(key)
 	if ok {
 		// Log only deletes that remove something: a replayed no-op delete
 		// would be harmless, but skipping it keeps the log minimal.
@@ -499,10 +424,6 @@ func (e *Engine) Delete(table string, t tuple.Tuple) (bool, error) {
 		rel.DeleteKey(key)
 		e.m.Deletes.Inc()
 		e.epochs[table]++
-		if e.sweepMode == SweepEager && row.Texp != xtime.Infinity {
-			// The row's queued event is now stranded.
-			e.stale++
-		}
 	}
 	e.mu.Unlock()
 	rel.Unlock()
@@ -510,85 +431,6 @@ func (e *Engine) Delete(table string, t tuple.Tuple) (bool, error) {
 		return ok, e.walFail(err, true)
 	}
 	return ok, nil
-}
-
-// schedule registers an eager expiry event for the tuple stored under key
-// in table. Callers hold e.mu and must only call it when the insert
-// changed the stored row, keeping the one-live-event-per-finite-row
-// invariant behind the stale count.
-func (e *Engine) schedule(table, key string, texp xtime.Time) {
-	if texp == xtime.Infinity {
-		return
-	}
-	ev := expiryEvent{table: table, key: key, texp: texp}
-	if e.sched == SchedulerWheel {
-		e.timeWheel.Schedule(texp, ev)
-	} else {
-		e.heap.Push(texp, ev)
-	}
-}
-
-// maybeCompact rebuilds the heap without stale events once they both pass
-// compactMinStale and outnumber live events, bounding scheduler memory
-// under churny workloads with long TTLs. It runs at the head of each
-// Advance — the only point where advMu is held and no other lock is, so
-// liveness can be checked against the tables themselves (an event is live
-// iff its tuple's stored expiration equals the event's). Only the heap
-// compacts: wheel buckets shed stale entries as their slots are visited.
-func (e *Engine) maybeCompact(tid trace.ID) {
-	e.mu.Lock()
-	if e.sched != SchedulerHeap || e.stale < compactMinStale || 2*e.stale < e.heap.Len() {
-		e.mu.Unlock()
-		return
-	}
-	// Steal the heap; concurrent inserts push into the fresh one and are
-	// merged back with the surviving events below. No event can pop in
-	// the window: only Advance pops, and advMu is held.
-	old := e.heap
-	e.heap = pqueue.New[expiryEvent](max(old.Len()-e.stale, 0))
-	e.mu.Unlock()
-
-	byTable := make(map[string][]pqueue.Item[expiryEvent])
-	total := 0
-	for {
-		it, ok := old.Pop()
-		if !ok {
-			break
-		}
-		byTable[it.Value.table] = append(byTable[it.Value.table], it)
-		total++
-	}
-	live := make([]pqueue.Item[expiryEvent], 0, total)
-	for table, items := range byTable {
-		rel, err := e.cat.Table(table)
-		if err != nil {
-			continue // table dropped: every event is dead
-		}
-		rel.RLock()
-		for _, it := range items {
-			if row, ok := rel.RowByKey(it.Value.key); ok && row.Texp == it.Value.texp {
-				live = append(live, it)
-			}
-		}
-		rel.RUnlock()
-	}
-
-	e.mu.Lock()
-	for _, it := range live {
-		e.heap.Push(it.At, it.Value)
-	}
-	e.stale -= total - len(live)
-	if e.stale < 0 {
-		e.stale = 0
-	}
-	e.m.Compactions.Inc()
-	e.m.StaleDropped.Add(int64(total - len(live)))
-	now := e.now
-	e.mu.Unlock()
-	e.events.Emit(trace.Event{
-		Trace: tid, Kind: trace.EvCompaction, Tick: now,
-		Count: int64(total - len(live)),
-	})
 }
 
 // firedEvent is an expiration whose triggers are due for dispatch.
@@ -607,9 +449,9 @@ type firedEvent struct {
 func (e *Engine) Advance(to xtime.Time) error { return e.AdvanceTraced(to, 0) }
 
 // AdvanceTraced is Advance with the caller's trace ID, so the lifecycle
-// events the advance causes (expiry batches, sweeps, compactions, view
-// invalidations) are attributable to the statement that moved the clock.
-// A zero ID is replaced with a fresh one.
+// events the advance causes (expiry batches, sweeps, view invalidations)
+// are attributable to the statement that moved the clock. A zero ID is
+// replaced with a fresh one.
 func (e *Engine) AdvanceTraced(to xtime.Time, tid trace.ID) error {
 	e.advMu.Lock()
 	defer e.advMu.Unlock()
@@ -638,7 +480,6 @@ func (e *Engine) AdvanceTraced(to xtime.Time, tid trace.ID) error {
 		tid = trace.NextID()
 	}
 
-	e.maybeCompact(tid)
 	e.mu.Lock()
 	if to < e.now {
 		now := e.now
@@ -646,11 +487,10 @@ func (e *Engine) AdvanceTraced(to xtime.Time, tid trace.ID) error {
 		return fmt.Errorf("engine: cannot advance backwards from %v to %v", now, to)
 	}
 	seq, walErr := e.walAppendRelaxed(&wal.Record{Kind: wal.KindAdvance, Texp: to})
-	var due []expiryEvent
+	// Eager: one walk at to, unless the watermark proves nothing is due.
+	walk := e.sweepMode == SweepEager && to >= e.nextDue
 	var sweeps []xtime.Time
-	if e.sweepMode == SweepEager {
-		due = e.popDue(to)
-	} else {
+	if e.sweepMode == SweepLazy {
 		// Sweep at each multiple of sweepEvery crossed by the advance, so
 		// trigger latency is bounded by the period.
 		for tick := e.lastSweep + e.sweepEvery; tick <= to; tick += e.sweepEvery {
@@ -682,12 +522,11 @@ func (e *Engine) AdvanceTraced(to xtime.Time, tid trace.ID) error {
 	e.cacheExpire(to, tid)
 
 	var events []firedEvent
-	if e.sweepMode == SweepEager {
-		events = e.expireBatch(due, to, tid, catchup)
-	} else {
-		for _, tick := range sweeps {
-			events = append(events, e.sweepTables(tick, tid, catchup)...)
-		}
+	if walk {
+		events = e.removeExpired(to, true, tid, catchup)
+	}
+	for _, tick := range sweeps {
+		events = append(events, e.removeExpired(tick, false, tid, catchup)...)
 	}
 	watches := e.checkWatches(to, tid)
 	e.dispatch(events)
@@ -700,118 +539,61 @@ func (e *Engine) AdvanceTraced(to xtime.Time, tid trace.ID) error {
 	return nil
 }
 
-// popDue drains scheduler events due at or before to. Stale events
-// (deleted or lifetime-extended tuples) are still among them; expireBatch
-// filters them against each table's stored expirations. Callers hold
-// e.mu.
-func (e *Engine) popDue(to xtime.Time) []expiryEvent {
-	if e.sched == SchedulerWheel {
-		return e.timeWheel.Advance(to)
-	}
-	var due []expiryEvent
-	for _, it := range e.heap.PopDue(to) {
-		due = append(due, it.Value)
-	}
-	return due
-}
-
-// expireBatch physically removes the tuples behind due events, taking
-// each table's lock once per batch. An event only fires if the tuple's
-// stored expiration still equals the event's: stale events — the tuple
-// was deleted, its lifetime extended (the later event is already
-// queued), or concurrently re-inserted since popDue — are dropped here
-// and deducted from the stale count. The returned events preserve the
-// scheduler's time order for dispatch. One lifecycle event per table
-// records the batch in the engine's event log, tagged with tid. Each
-// expired tuple's dispatch lag (to − texp) feeds the SLO tracker; a
-// catchup batch (the first advance after recovery) goes to its own
-// labelled series so downtime never reads as a lag breach.
-func (e *Engine) expireBatch(due []expiryEvent, to xtime.Time, tid trace.ID, catchup bool) []firedEvent {
-	if len(due) == 0 {
-		return nil
-	}
-	byTable := make(map[string][]int)
-	for i, ev := range due {
-		byTable[ev.table] = append(byTable[ev.table], i)
-	}
-	expired := make([]bool, len(due))
-	rows := make([]relation.Row, len(due))
-	n := 0
-	for table, idxs := range byTable {
-		rel, err := e.cat.Table(table)
-		if err != nil {
-			continue // table dropped
-		}
-		removed := 0
-		rel.Lock()
-		for _, i := range idxs {
-			ev := due[i]
-			if row, ok := rel.RowByKey(ev.key); ok && row.Texp == ev.texp {
-				rel.DeleteKey(ev.key)
-				rows[i] = row
-				expired[i] = true
-				removed++
-			}
-		}
-		rel.Unlock()
-		n += removed
-		if removed > 0 {
-			e.events.Emit(trace.Event{
-				Trace: tid, Kind: trace.EvExpiry, Name: table,
-				Tick: to, Count: int64(removed),
-			})
-		}
-	}
-	e.m.TuplesExpired.Add(int64(n))
-	e.m.StaleDropped.Add(int64(len(due) - n))
-	e.m.ExpiryBatch.Observe(int64(n))
+// removeExpired physically removes every tuple with texp ≤ tick from
+// every table — the one removal path that eager advances, lazy and manual
+// sweeps and ENOSPC reclamation share. Each table is locked once and its
+// texp heap popped, and the same walk re-derives the watermark nextDue
+// from the table minima (inserts landing meanwhile lower it themselves).
+//
+// An eager batch fires each tuple at its own texp, in ascending texp
+// order across tables, and logs one EvExpiry per table; a sweep fires
+// every tuple at tick, logs EvSweep and counts as a sweep. Either way the
+// lifecycle events are tagged with tid, and each removed tuple's dispatch
+// lag (tick − texp) feeds the SLO tracker — a catchup batch (the first
+// advance after recovery) into its own series, so downtime never reads
+// as a lag breach.
+func (e *Engine) removeExpired(tick xtime.Time, eager bool, tid trace.ID, catchup bool) []firedEvent {
 	e.mu.Lock()
-	// Events that failed the texp check were stale — stranded by a
-	// delete, a lifetime extension or a dropped table.
-	e.stale -= len(due) - n
-	if e.stale < 0 {
-		e.stale = 0
-	}
+	e.nextDue = xtime.Infinity
 	e.mu.Unlock()
-	if n == 0 {
-		return nil
+	kind := trace.EvSweep
+	if eager {
+		kind = trace.EvExpiry
 	}
-	events := make([]firedEvent, 0, n)
-	slo := e.slo()
-	for i, ev := range due {
-		if expired[i] {
-			slo.ObserveDispatch(int64(to-ev.texp), catchup)
-			events = append(events, firedEvent{table: ev.table, row: rows[i], at: ev.texp})
-		}
-	}
-	return events
-}
-
-// sweepTables removes every tuple expired at tick from every table,
-// locking tables one at a time. Each table that shed tuples gets a sweep
-// lifecycle event tagged with tid, and each removed tuple's dispatch lag
-// (tick − texp, the §3.2 grid-period latency) feeds the SLO tracker.
-func (e *Engine) sweepTables(tick xtime.Time, tid trace.ID, catchup bool) []firedEvent {
+	next := xtime.Infinity
 	var events []firedEvent
 	var latency int64
 	slo := e.slo()
 	for _, nt := range e.cat.TableSet() {
 		nt.Rel.Lock()
 		removed := nt.Rel.RemoveExpired(tick)
+		next = xtime.Min(next, nt.Rel.NextExpiration(tick))
 		nt.Rel.Unlock()
 		for _, row := range removed {
-			latency += int64(tick - row.Texp)
+			at := tick
+			if eager {
+				at = row.Texp
+			}
+			latency += int64(at - row.Texp)
 			slo.ObserveDispatch(int64(tick-row.Texp), catchup)
-			events = append(events, firedEvent{table: nt.Name, row: row, at: tick})
+			events = append(events, firedEvent{table: nt.Name, row: row, at: at})
 		}
 		if len(removed) > 0 {
 			e.events.Emit(trace.Event{
-				Trace: tid, Kind: trace.EvSweep, Name: nt.Name,
+				Trace: tid, Kind: kind, Name: nt.Name,
 				Tick: tick, Count: int64(len(removed)),
 			})
 		}
 	}
-	e.m.Sweeps.Inc()
+	e.mu.Lock()
+	e.nextDue = xtime.Min(e.nextDue, next)
+	e.mu.Unlock()
+	if eager {
+		// Each table's removals are already in texp order; merge them.
+		slices.SortStableFunc(events, func(a, b firedEvent) int { return cmp.Compare(a.at, b.at) })
+	} else {
+		e.m.Sweeps.Inc()
+	}
 	e.m.TuplesExpired.Add(int64(len(events)))
 	e.m.TriggerLagTicks.Add(latency)
 	e.m.ExpiryBatch.Observe(int64(len(events)))
@@ -838,7 +620,7 @@ func (e *Engine) Sweep() error {
 	if walErr != nil {
 		e.walFail(walErr, false)
 	}
-	events := e.sweepTables(now, trace.NextID(), false)
+	events := e.removeExpired(now, false, trace.NextID(), false)
 	e.dispatch(events)
 	return nil
 }

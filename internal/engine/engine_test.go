@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -112,35 +113,90 @@ func TestInsertTTL(t *testing.T) {
 }
 
 func TestEagerTriggersFireOnTime(t *testing.T) {
-	for _, sched := range []SchedulerKind{SchedulerHeap, SchedulerWheel} {
-		e := newsEngine(t, WithScheduler(sched))
-		var mu sync.Mutex
-		fired := map[int64]xtime.Time{}
-		err := e.OnExpire("el", func(table string, row relation.Row, at xtime.Time) {
-			mu.Lock()
-			defer mu.Unlock()
-			fired[row.Tuple[0].AsInt()] = at
-		})
-		if err != nil {
+	e := newsEngine(t)
+	var mu sync.Mutex
+	fired := map[int64]xtime.Time{}
+	err := e.OnExpire("el", func(table string, row relation.Row, at xtime.Time) {
+		mu.Lock()
+		defer mu.Unlock()
+		fired[row.Tuple[0].AsInt()] = at
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := xtime.Time(1); tick <= 20; tick++ {
+		if err := e.Advance(tick); err != nil {
 			t.Fatal(err)
 		}
-		for tick := xtime.Time(1); tick <= 20; tick++ {
-			if err := e.Advance(tick); err != nil {
-				t.Fatal(err)
-			}
+	}
+	want := map[int64]xtime.Time{4: 2, 2: 3, 1: 5}
+	for uid, at := range want {
+		if fired[uid] != at {
+			t.Errorf("trigger for UID %d fired at %v, want %v", uid, fired[uid], at)
 		}
-		want := map[int64]xtime.Time{4: 2, 2: 3, 1: 5}
-		for uid, at := range want {
-			if fired[uid] != at {
-				t.Errorf("%s: trigger for UID %d fired at %v, want %v", sched, uid, fired[uid], at)
-			}
-		}
-		if e.Stats().TuplesExpired < 3 {
-			t.Errorf("%s: expired = %d", sched, e.Stats().TuplesExpired)
-		}
+	}
+	if e.Stats().TuplesExpired < 3 {
+		t.Errorf("expired = %d", e.Stats().TuplesExpired)
 	}
 }
 
+// TestEagerBatchFiresInTexpOrder: one advance across every expiration
+// dispatches the whole batch in ascending texp order across tables, each
+// trigger at its tuple's own texp (latency 0), never at the advance tick.
+func TestEagerBatchFiresInTexpOrder(t *testing.T) {
+	e := newsEngine(t)
+	var got []xtime.Time
+	record := func(_ string, row relation.Row, at xtime.Time) {
+		if at != row.Texp {
+			t.Errorf("fired at %v, want the tuple's texp %v", at, row.Texp)
+		}
+		got = append(got, at)
+	}
+	for _, table := range []string{"pol", "el"} {
+		if err := e.OnExpire(table, record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Advance(100); err != nil {
+		t.Fatal(err)
+	}
+	want := []xtime.Time{2, 3, 5, 10, 10, 15}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("firing order = %v, want %v", got, want)
+	}
+	if lag := e.Stats().TriggerLatency; lag != 0 {
+		t.Errorf("eager trigger latency = %d, want 0", lag)
+	}
+}
+
+// TestEagerExpiryDrainsIndex is the regression test for the expiration
+// index leak: eager expiry must pop the per-table texp heaps it pushed,
+// so once every row has expired the index holds nothing.
+func TestEagerExpiryDrainsIndex(t *testing.T) {
+	e := New()
+	if err := e.CreateTable("s", tuple.IntCols("id")); err != nil {
+		t.Fatal(err)
+	}
+	const n = 10_000
+	for i := 0; i < n; i++ {
+		if err := e.InsertTTL("s", tuple.Ints(int64(i)), 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.Metrics().Scheduler.Pending; got != n {
+		t.Fatalf("pending after %d inserts = %d, want one entry per row", n, got)
+	}
+	if err := e.Advance(100); err != nil {
+		t.Fatal(err)
+	}
+	m := e.Metrics()
+	if m.TuplesExpired != n {
+		t.Fatalf("expired = %d, want %d", m.TuplesExpired, n)
+	}
+	if m.Scheduler.Pending != 0 {
+		t.Fatalf("pending after every row expired = %d, want 0", m.Scheduler.Pending)
+	}
+}
 func TestLazySweepBatchesAndBoundsLatency(t *testing.T) {
 	e := newsEngine(t, WithSweep(SweepLazy, 8))
 	var fired []xtime.Time
@@ -344,48 +400,66 @@ func TestManualSweepKeepsGridAnchored(t *testing.T) {
 	}
 }
 
-// TestStaleEventCompaction is the regression test for unbounded scheduler
-// growth: deleted or lifetime-extended tuples used to leave their events
-// in the heap until the original expiration passed. Past the threshold
-// the next Advance now compacts stale events away.
+// TestStaleEventCompaction is the regression test for unbounded
+// expiration-index growth: deletes and lifetime extensions leave
+// superseded pairs in the table's texp heap until their texp passes. A
+// push that takes the heap past twice the stored rows plus 1024 rebuilds
+// it from the rows, so long-TTL churn stays bounded.
 func TestStaleEventCompaction(t *testing.T) {
-	e := New(WithScheduler(SchedulerHeap))
+	e := New()
 	if err := e.CreateTable("s", tuple.IntCols("id")); err != nil {
 		t.Fatal(err)
 	}
-	const n = 1500 // > compactMinStale
+	// The bound holds as of the last push; a delete since then may have
+	// lowered the stored count by one.
+	bounded := func(stored int) {
+		t.Helper()
+		if p := e.Metrics().Scheduler.Pending; p > 2*(stored+1)+1024 {
+			t.Fatalf("pending = %d with %d stored rows: heap unbounded", p, stored)
+		}
+	}
+	const n = 5000
 	for i := 0; i < n; i++ {
 		if err := e.Insert("s", tuple.Ints(int64(i)), 1_000_000); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < n; i++ {
 		if ok, err := e.Delete("s", tuple.Ints(int64(i))); err != nil || !ok {
 			t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
 		}
+		bounded(0)
 	}
-	if _, stale := e.SchedulerLoad(); stale != n {
-		t.Fatalf("after churn: stale=%d, want %d", stale, n)
+	// Extending one live row's lifetime churns the heap the same way.
+	for i := 0; i < n; i++ {
+		if err := e.Insert("s", tuple.Ints(-1), xtime.Time(1_000_000+i)); err != nil {
+			t.Fatal(err)
+		}
+		bounded(1)
 	}
-	// Advancing nowhere near texp=1_000_000 compacts the stale backlog
-	// away instead of letting all n events linger until it passes.
-	if err := e.Advance(1); err != nil {
+	m := e.Metrics()
+	if m.Compactions == 0 || m.StaleDropped == 0 {
+		t.Fatalf("no rebuild recorded: compactions=%d stale dropped=%d", m.Compactions, m.StaleDropped)
+	}
+	// Rebuilding never loses the live row: it expires exactly once.
+	fired := 0
+	if err := e.OnExpire("s", func(string, relation.Row, xtime.Time) { fired++ }); err != nil {
 		t.Fatal(err)
 	}
-	pending, stale := e.SchedulerLoad()
-	if pending != 0 || stale != 0 {
-		t.Fatalf("after Advance: pending=%d stale=%d, want 0/0", pending, stale)
+	if err := e.Advance(2_000_000); err != nil {
+		t.Fatal(err)
 	}
-	if e.Stats().Compactions == 0 {
-		t.Fatal("no compaction recorded")
+	if fired != 1 {
+		t.Fatalf("triggers = %d, want 1", fired)
+	}
+	if p := e.Metrics().Scheduler.Pending; p != 0 {
+		t.Fatalf("pending after expiry = %d, want 0", p)
 	}
 }
 
 // TestDuplicateInsertSchedulesOnce: re-inserting a tuple with the same or
-// an earlier expiration is a no-change insert and must not enqueue a
-// duplicate event.
+// an earlier expiration is a no-change insert and must not push a
+// duplicate expiration-index entry.
 func TestDuplicateInsertSchedulesOnce(t *testing.T) {
-	e := New(WithScheduler(SchedulerHeap))
+	e := New()
 	if err := e.CreateTable("s", tuple.IntCols("id")); err != nil {
 		t.Fatal(err)
 	}
@@ -394,16 +468,15 @@ func TestDuplicateInsertSchedulesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pending, _ := e.SchedulerLoad(); pending != 1 {
-		t.Fatalf("pending events = %d, want 1", pending)
+	if pending := e.Metrics().Scheduler.Pending; pending != 1 {
+		t.Fatalf("pending entries = %d, want 1", pending)
 	}
-	// An extension schedules a replacement and marks the old event stale.
+	// An extension pushes a replacement; the entry at 50 is superseded.
 	if err := e.Insert("s", tuple.Ints(1), 80); err != nil {
 		t.Fatal(err)
 	}
-	pending, stale := e.SchedulerLoad()
-	if pending != 2 || stale != 1 {
-		t.Fatalf("after extension: pending=%d stale=%d, want 2/1", pending, stale)
+	if pending := e.Metrics().Scheduler.Pending; pending != 2 {
+		t.Fatalf("after extension: pending=%d, want 2", pending)
 	}
 	fired := 0
 	if err := e.OnExpire("s", func(string, relation.Row, xtime.Time) { fired++ }); err != nil {
@@ -415,8 +488,9 @@ func TestDuplicateInsertSchedulesOnce(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("triggers = %d, want 1", fired)
 	}
-	if pending, stale := e.SchedulerLoad(); pending != 0 || stale != 0 {
-		t.Fatalf("after drain: pending=%d stale=%d", pending, stale)
+	m := e.Metrics()
+	if m.Scheduler.Pending != 0 || m.StaleDropped != 1 {
+		t.Fatalf("after drain: pending=%d stale dropped=%d, want 0/1", m.Scheduler.Pending, m.StaleDropped)
 	}
 }
 

@@ -1,10 +1,9 @@
 package engine
 
 import (
+	"expdb/internal/index"
 	"expdb/internal/metrics"
-	"expdb/internal/pqueue"
 	"expdb/internal/view"
-	"expdb/internal/wheel"
 	"expdb/internal/xtime"
 )
 
@@ -19,11 +18,11 @@ type Metrics struct {
 	TuplesExpired metrics.Counter
 	TriggersFired metrics.Counter
 	Sweeps        metrics.Counter
-	Compactions   metrics.Counter
 	Advances      metrics.Counter
-	// StaleDropped counts scheduler events discarded because their tuple
-	// was deleted, its lifetime extended, or its table dropped.
-	StaleDropped metrics.Counter
+	// Texp is shared by every table's texp heap (the expiration index):
+	// pairs pending, superseded pairs dropped (the tuple was deleted or
+	// its lifetime extended) and the rebuilds that bound the backlog.
+	Texp index.TexpStats
 	// TriggerLagTicks is Σ (fire tick − expiration tick); non-zero only
 	// under lazy sweeping, where it measures the §3.2 latency trade-off.
 	TriggerLagTicks metrics.Counter
@@ -74,14 +73,11 @@ type WALMetricsSnapshot struct {
 	Degraded string `json:"degraded,omitempty"`
 }
 
-// SchedulerMetrics describes the eager expiry scheduler in a snapshot.
+// SchedulerMetrics describes the expiration index in a snapshot.
 type SchedulerMetrics struct {
-	Kind    string `json:"kind"`
-	Pending int    `json:"pending"`
-	Stale   int    `json:"stale"`
-	// Exactly one of Wheel/Heap is set, matching Kind.
-	Wheel *wheel.Stats  `json:"wheel,omitempty"`
-	Heap  *pqueue.Stats `json:"heap,omitempty"`
+	// Pending is the number of (texp, key) pairs the per-table texp heaps
+	// hold, superseded ones not yet discarded included.
+	Pending int `json:"pending"`
 }
 
 // ViewMetrics is the per-view slice of a snapshot: the recompute vs patch
@@ -135,7 +131,7 @@ type MetricsSnapshot struct {
 }
 
 // Metrics returns a consistent-enough snapshot of the engine's counters,
-// histograms, scheduler load and per-view maintenance split. It takes
+// histograms, expiration-index depth and per-view maintenance split. It takes
 // only the engine leaf lock and each view's own lock, so it is safe to
 // call from a monitoring goroutine at any frequency.
 func (e *Engine) Metrics() MetricsSnapshot {
@@ -145,9 +141,9 @@ func (e *Engine) Metrics() MetricsSnapshot {
 		TuplesExpired:    e.m.TuplesExpired.Load(),
 		TriggersFired:    e.m.TriggersFired.Load(),
 		Sweeps:           e.m.Sweeps.Load(),
-		Compactions:      e.m.Compactions.Load(),
+		Compactions:      e.m.Texp.Rebuilds.Load(),
 		Advances:         e.m.Advances.Load(),
-		StaleDropped:     e.m.StaleDropped.Load(),
+		StaleDropped:     e.m.Texp.StaleDropped.Load(),
 		TriggerLagTicks:  e.m.TriggerLagTicks.Load(),
 		Checkpoints:      e.m.Checkpoints.Load(),
 		DiskFaults:       e.m.DiskFaults.Load(),
@@ -156,6 +152,7 @@ func (e *Engine) Metrics() MetricsSnapshot {
 		DiskRecoveries:   e.m.DiskRecoveries.Load(),
 		AdvanceNanos:     e.m.AdvanceNanos.Snapshot(),
 		ExpiryBatch:      e.m.ExpiryBatch.Snapshot(),
+		Scheduler:        SchedulerMetrics{Pending: int(e.m.Texp.Pending.Load())},
 		Events: RingMetrics{
 			Total: e.events.Total(), Dropped: e.events.Dropped(),
 			Capacity: e.events.Capacity(), HighWater: e.events.HighWater(),
@@ -186,17 +183,6 @@ func (e *Engine) Metrics() MetricsSnapshot {
 	}
 	e.mu.RLock()
 	s.Now = e.now
-	s.Scheduler.Kind = e.sched.String()
-	s.Scheduler.Stale = e.stale
-	if e.sched == SchedulerWheel {
-		s.Scheduler.Pending = e.timeWheel.Len()
-		ws := e.timeWheel.Stats()
-		s.Scheduler.Wheel = &ws
-	} else {
-		s.Scheduler.Pending = e.heap.Len()
-		hs := e.heap.Stats()
-		s.Scheduler.Heap = &hs
-	}
 	e.mu.RUnlock()
 
 	if rc, err := e.ResultCacheStats(); err == nil {

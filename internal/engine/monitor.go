@@ -12,8 +12,8 @@ import (
 
 // Monitor wiring: the engine owns a monitor.Monitor when WithMonitor is
 // given, feeding it three ways. History series are registered against
-// the engine's atomic counters (and two short-RLock gauges for scheduler
-// depth), so a sampler tick stays allocation-free. The SLO tracker is
+// the engine's atomic counters and gauges, so a sampler tick stays
+// allocation-free. The SLO tracker is
 // fed inline from the Advance pipeline — per-tuple dispatch lag at
 // expiry, routed to the catch-up series when the advance consumed the
 // recovery trace ID — and the health checks below hand the watchdog the
@@ -112,23 +112,11 @@ func (e *Engine) initMonitor() {
 	reg("engine_tuples_expired", monitor.SeriesCounter, e.m.TuplesExpired.Load)
 	reg("engine_triggers_fired", monitor.SeriesCounter, e.m.TriggersFired.Load)
 	reg("engine_sweeps", monitor.SeriesCounter, e.m.Sweeps.Load)
-	reg("engine_compactions", monitor.SeriesCounter, e.m.Compactions.Load)
+	reg("engine_compactions", monitor.SeriesCounter, e.m.Texp.Rebuilds.Load)
 	reg("engine_advances", monitor.SeriesCounter, e.m.Advances.Load)
-	reg("engine_stale_dropped", monitor.SeriesCounter, e.m.StaleDropped.Load)
+	reg("engine_stale_dropped", monitor.SeriesCounter, e.m.Texp.StaleDropped.Load)
 	reg("engine_checkpoints", monitor.SeriesCounter, e.m.Checkpoints.Load)
-	reg("scheduler_pending", monitor.SeriesGauge, func() int64 {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		if e.sched == SchedulerWheel {
-			return int64(e.timeWheel.Len())
-		}
-		return int64(e.heap.Len())
-	})
-	reg("scheduler_stale", monitor.SeriesGauge, func() int64 {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		return int64(e.stale)
-	})
+	reg("scheduler_pending", monitor.SeriesGauge, e.m.Texp.Pending.Load)
 	reg("events_emitted", monitor.SeriesCounter, func() int64 { return int64(e.events.Total()) })
 	reg("events_dropped", monitor.SeriesCounter, func() int64 { return int64(e.events.Dropped()) })
 	reg("traces_recorded", monitor.SeriesCounter, func() int64 { return int64(e.traces.Total()) })

@@ -159,7 +159,8 @@ func TestOrderedEarlyStop(t *testing.T) {
 func TestTexpHeap(t *testing.T) {
 	live := map[string]xtime.Time{}
 	current := func(k string) (xtime.Time, bool) { v, ok := live[k]; return v, ok }
-	th := NewTexpHeap()
+	var stats TexpStats
+	th := NewTexpHeap(&stats)
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("k%03d", i)
 		texp := xtime.Time(100 - i)
@@ -170,18 +171,18 @@ func TestTexpHeap(t *testing.T) {
 	if th.Len() != 100 {
 		t.Fatalf("infinity must not be retained: len=%d", th.Len())
 	}
-	if got := th.Next(current); got != 1 {
+	if got := th.NextAfter(0, current); got != 1 {
 		t.Fatalf("Next: want 1, got %d", got)
 	}
 	// Extend k099 (texp 1 -> 500): the heap pair goes stale.
 	live["k099"] = 500
 	th.Push("k099", 500)
-	if got := th.Next(current); got != 2 {
+	if got := th.NextAfter(0, current); got != 2 {
 		t.Fatalf("Next after extension: want 2, got %d", got)
 	}
 	// Delete k098 (texp 2): stale too.
 	delete(live, "k098")
-	if got := th.Next(current); got != 3 {
+	if got := th.NextAfter(0, current); got != 3 {
 		t.Fatalf("Next after delete: want 3, got %d", got)
 	}
 	var fired []xtime.Time
@@ -198,8 +199,31 @@ func TestTexpHeap(t *testing.T) {
 			t.Fatalf("PopDue must fire in texp order: %v", fired)
 		}
 	}
-	if got := th.Next(current); got != 51 {
+	if got := th.NextAfter(0, current); got != 51 {
 		t.Fatalf("Next after PopDue: want 51, got %d", got)
+	}
+	// Two stale pairs (k099's at 1, k098's at 2) were discarded on the way.
+	if stats.StaleDropped.Load() != 2 || stats.Pending.Load() != int64(th.Len()) {
+		t.Fatalf("stats: dropped=%d pending=%d len=%d", stats.StaleDropped.Load(), stats.Pending.Load(), th.Len())
+	}
+	// Rebuild keeps exactly the live pairs, in heap order.
+	for k := range live {
+		if live[k] < 60 {
+			th.Push(k, live[k]) // duplicates of live pairs: shed by Rebuild
+		}
+	}
+	th.Rebuild(func(push func(string, xtime.Time)) {
+		for k, texp := range live {
+			push(k, texp)
+		}
+		push("never", xtime.Infinity)
+	})
+	if th.Len() != len(live) || stats.Pending.Load() != int64(len(live)) || stats.Rebuilds.Load() != 1 {
+		t.Fatalf("after Rebuild: len=%d pending=%d rebuilds=%d, want %d/%d/1",
+			th.Len(), stats.Pending.Load(), stats.Rebuilds.Load(), len(live), len(live))
+	}
+	if got := th.NextAfter(0, current); got != 51 {
+		t.Fatalf("Next after Rebuild: want 51, got %d", got)
 	}
 }
 

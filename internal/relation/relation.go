@@ -69,7 +69,8 @@ type Relation struct {
 	indexes []NamedIndex
 	// texpIdx is the per-table texp-ordered index (a lazy-deletion
 	// min-heap): it makes NextExpiration a peek and RemoveExpired O(k)
-	// instead of O(n). Enabled by the engine on base tables.
+	// instead of O(n). Enabled by the engine on base tables, where it is
+	// the only expiration index.
 	texpIdx *index.TexpHeap
 }
 
@@ -170,36 +171,27 @@ func (r *Relation) StoredLen() int { return int(r.stored.Load()) }
 // larger expiration time wins (set semantics consistent with ∪exp). It
 // reports whether the relation's visible content changed.
 func (r *Relation) Insert(t tuple.Tuple, texp xtime.Time) bool {
-	changed, _, _ := r.InsertPrev(t, texp)
-	return changed
-}
-
-// InsertPrev is Insert, additionally reporting the tuple's previous
-// expiration time when an equal tuple was already present. Schedulers use
-// prev to detect that an event queued for the old expiration has become
-// stale (the tuple's lifetime was extended).
-func (r *Relation) InsertPrev(t tuple.Tuple, texp xtime.Time) (changed bool, prev xtime.Time, had bool) {
 	return r.InsertKeyed(t.Key(), t, texp)
 }
 
-// InsertKeyed is InsertPrev for callers that already computed t.Key(),
+// InsertKeyed is Insert for callers that already computed t.Key(),
 // sparing the hot insert path a second key encoding. key must equal
 // t.Key().
-func (r *Relation) InsertKeyed(key string, t tuple.Tuple, texp xtime.Time) (changed bool, prev xtime.Time, had bool) {
+func (r *Relation) InsertKeyed(key string, t tuple.Tuple, texp xtime.Time) bool {
 	r.detach()
 	if old, ok := r.rows[key]; ok {
 		if texp > old.Texp {
 			r.rows[key] = Row{Tuple: old.Tuple, Texp: texp}
 			r.idxUpdate(key, old.Tuple, texp)
-			return true, old.Texp, true
+			return true
 		}
-		return false, old.Texp, true
+		return false
 	}
 	ct := t.Clone()
 	r.rows[key] = Row{Tuple: ct, Texp: texp}
 	r.stored.Add(1)
 	r.idxInsert(key, ct, texp)
-	return true, 0, false
+	return true
 }
 
 // InsertOwned is InsertKeyed for tuples the relation may store without a
@@ -366,29 +358,34 @@ func (r *Relation) Clone() *Relation {
 	return out
 }
 
-// RemoveExpired physically deletes rows with texp ≤ tau and returns them.
-// This is the eager/lazy removal hook of §3.2: eager engines call it on
-// every expiration event, lazy ones batch calls. With the texp-ordered
-// index enabled the candidates are enumerated by popping the heap —
-// O(k log n) for k removals — instead of walking the whole table.
+// RemoveExpired physically deletes rows with texp ≤ tau and returns them,
+// in ascending texp order when the texp-ordered index is enabled. This is
+// the eager/lazy removal hook of §3.2: eager engines call it at every
+// advance that reaches an expiration, lazy ones at each sweep tick. With
+// the index the candidates are enumerated by popping the heap —
+// O(k log n) for k removals — instead of walking the whole table. A
+// shared row map is detached only by the first actual removal, so a sweep
+// with nothing due leaves the map shared with its snapshots.
 func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
-	r.detach()
 	var removed []Row
+	remove := func(key string, row Row) {
+		r.detach()
+		removed = append(removed, row)
+		delete(r.rows, key)
+		r.idxRemove(key, row.Tuple)
+	}
 	if r.texpIdx != nil {
 		r.texpIdx.PopDue(tau, r.currentTexp, func(key string, _ xtime.Time) {
-			row := r.rows[key]
-			removed = append(removed, row)
-			delete(r.rows, key)
-			r.idxRemove(key, row.Tuple)
+			remove(key, r.rows[key])
 		})
-		r.stored.Store(int64(len(r.rows)))
-		return removed
-	}
-	for k, row := range r.rows {
-		if row.Texp <= tau {
-			removed = append(removed, row)
-			delete(r.rows, k)
-			r.idxRemove(k, row.Tuple)
+	} else {
+		// The range reads the map it started on; once remove detaches,
+		// deletes go to the private copy while iteration continues over
+		// the shared original, which nothing mutates.
+		for k, row := range r.rows {
+			if row.Texp <= tau && row.Texp > r.floor {
+				remove(k, row)
+			}
 		}
 	}
 	r.stored.Store(int64(len(r.rows)))
@@ -396,9 +393,10 @@ func (r *Relation) RemoveExpired(tau xtime.Time) []Row {
 }
 
 // NextExpiration returns the smallest finite texp strictly greater than
-// tau, or Infinity when no stored tuple expires after tau. Engines use it
-// to schedule sweeps and triggers. With the texp-ordered index this is a
-// heap peek (plus discarding stale pairs) instead of an O(n) scan.
+// tau, or Infinity when no stored tuple expires after tau. The engine
+// derives its eager-expiry watermark from it. With the texp-ordered index
+// this is a heap peek (plus discarding stale pairs) instead of an O(n)
+// scan.
 func (r *Relation) NextExpiration(tau xtime.Time) xtime.Time {
 	tau = r.effTau(tau)
 	if r.texpIdx != nil {
@@ -508,9 +506,7 @@ func (r *Relation) idxInsert(key string, t tuple.Tuple, texp xtime.Time) {
 	for _, ni := range r.indexes {
 		ni.Idx.Insert(index.Entry{Key: key, Tuple: t, Texp: texp})
 	}
-	if r.texpIdx != nil {
-		r.texpIdx.Push(key, texp)
-	}
+	r.texpPush(key, texp)
 }
 
 // idxUpdate records a texp extension (set-semantics duplicate insert).
@@ -519,8 +515,25 @@ func (r *Relation) idxUpdate(key string, t tuple.Tuple, texp xtime.Time) {
 	for _, ni := range r.indexes {
 		ni.Idx.Update(key, t, texp)
 	}
-	if r.texpIdx != nil {
-		r.texpIdx.Push(key, texp)
+	r.texpPush(key, texp)
+}
+
+// texpSlack is the stale-pair allowance of the texp heap: small enough to
+// bound waste, large enough that steady-state churn never pays a rebuild.
+const texpSlack = 1024
+
+// texpPush records key's new texp in the texp-ordered index. Deletes and
+// extensions strand superseded pairs that only surface when their texp
+// passes, so a push that leaves the heap above twice the stored rows plus
+// texpSlack rebuilds it from the row map (under the caller's write lock),
+// bounding its memory under long-TTL churn.
+func (r *Relation) texpPush(key string, texp xtime.Time) {
+	if r.texpIdx == nil {
+		return
+	}
+	r.texpIdx.Push(key, texp)
+	if r.texpIdx.Len() > 2*len(r.rows)+texpSlack {
+		r.RebuildTexpIndex()
 	}
 }
 
@@ -574,17 +587,39 @@ func (r *Relation) IndexNamed(name string) index.Index {
 // Indexes returns the attached named indexes (the engine's catalog view).
 func (r *Relation) Indexes() []NamedIndex { return r.indexes }
 
-// EnableTexpIndex turns on the texp-ordered index, backfilling it from
-// the stored rows. Idempotent; caller holds the write lock.
-func (r *Relation) EnableTexpIndex() {
+// EnableTexpIndex turns on the texp-ordered index, reporting into stats
+// (nil: unshared counters) and backfilling it from the stored rows.
+// Idempotent; caller holds the write lock.
+func (r *Relation) EnableTexpIndex(stats *index.TexpStats) {
 	if r.texpIdx != nil {
 		return
 	}
-	th := index.NewTexpHeap()
-	for k, row := range r.rows {
-		th.Push(k, row.Texp)
+	r.texpIdx = index.NewTexpHeap(stats)
+	r.RebuildTexpIndex()
+}
+
+// RebuildTexpIndex rebuilds the texp-ordered index from the stored rows,
+// shedding every superseded pair, so it holds exactly one pair per
+// finite-texp row. Caller holds the write lock.
+func (r *Relation) RebuildTexpIndex() {
+	if r.texpIdx == nil {
+		return
 	}
-	r.texpIdx = th
+	r.texpIdx.Rebuild(func(push func(string, xtime.Time)) {
+		for k, row := range r.rows {
+			push(k, row.Texp)
+		}
+	})
+}
+
+// DisableTexpIndex drops the texp-ordered index, withdrawing its pairs
+// from the shared statistics (the table is being dropped). Caller holds
+// the write lock.
+func (r *Relation) DisableTexpIndex() {
+	if r.texpIdx != nil {
+		r.texpIdx.Release()
+		r.texpIdx = nil
+	}
 }
 
 // Index is a hash index over a column subset, mapping projected keys to

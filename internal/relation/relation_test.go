@@ -303,9 +303,40 @@ func TestStoredLenTracksLen(t *testing.T) {
 	check("deletes after a shared snapshot")
 	r.RemoveExpired(13)
 	check("RemoveExpired scan")
-	r.EnableTexpIndex()
+	r.EnableTexpIndex(nil)
 	r.RemoveExpired(16)
 	check("RemoveExpired via the texp index")
 	r.InsertOwnedRow(Row{Tuple: tuple.Ints(50), Texp: 60})
 	check("InsertOwnedRow")
+}
+
+// TestRemoveExpiredNoOpKeepsMapShared: a sweep with nothing due must not
+// detach a row map shared with a snapshot — after a checkpoint's
+// SnapshotShared, every table would otherwise be copied by the next
+// no-op sweep. The first actual removal still detaches, leaving the
+// snapshot intact.
+func TestRemoveExpiredNoOpKeepsMapShared(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		r := New(tuple.IntCols("id"))
+		if indexed {
+			r.EnableTexpIndex(nil)
+		}
+		for i := int64(0); i < 1000; i++ {
+			r.Insert(tuple.Ints(i), xtime.Time(100+i))
+		}
+		snap := r.SnapshotShared(0)
+		if removed := r.RemoveExpired(50); len(removed) != 0 {
+			t.Fatalf("indexed=%v: removed %d rows, want 0", indexed, len(removed))
+		}
+		if !r.shared {
+			t.Fatalf("indexed=%v: a no-op RemoveExpired detached the shared row map", indexed)
+		}
+		if removed := r.RemoveExpired(101); len(removed) != 2 {
+			t.Fatalf("indexed=%v: removed %d rows, want 2", indexed, len(removed))
+		}
+		if r.shared || r.Len() != 998 || snap.Len() != 1000 {
+			t.Fatalf("indexed=%v: after a removal shared=%v len=%d snapshot len=%d, want false/998/1000",
+				indexed, r.shared, r.Len(), snap.Len())
+		}
+	}
 }

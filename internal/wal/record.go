@@ -6,8 +6,8 @@
 // The design follows the paper's premise that the expiration time texp is
 // first-class durable metadata: the log and snapshots persist per-tuple
 // texp verbatim, and nothing else about the expiration machinery — the
-// timing-wheel/heap schedule is *re-derived* from the stored texp values
-// at recovery (see engine.OpenDurability), the durable analogue of the
+// per-table texp heaps are *rebuilt* from the stored texp values at
+// recovery (see engine.OpenDurability), the durable analogue of the
 // texp-ordered expiration index of "Efficient Management of Short-Lived
 // Data" (arXiv cs/0505038).
 //

@@ -12,8 +12,8 @@ import (
 
 // Snapshot is a decoded point-in-time image of the durable state: the
 // logical clock, the lazy sweeper's position, every table with per-row
-// texp, and every view definition. The expiration schedule is absent on
-// purpose — recovery re-derives it from the stored texp values.
+// texp, and every view definition. The expiration index is absent on
+// purpose — recovery rebuilds it from the stored texp values.
 type Snapshot struct {
 	Clock     xtime.Time
 	LastSweep xtime.Time

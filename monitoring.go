@@ -115,7 +115,7 @@ func (db *DB) registerWireSeries(s *WireServer) {
 	_ = h.Register("wire_active_conns", monitor.SeriesGauge, wm.ActiveConns.Load)
 }
 
-// WritePrometheus writes every layer's metrics — engine, scheduler,
+// WritePrometheus writes every layer's metrics — engine, expiration index,
 // observability rings, WAL, result cache, views, SQL session, wire
 // servers, SLO and health — in Prometheus text exposition format 0.0.4.
 // The output is grammar-checked by monitor.LintExposition in tests; it
@@ -132,9 +132,9 @@ func (db *DB) WritePrometheus(w io.Writer) error {
 	p.Counter("expdb_tuples_expired_total", "Tuples physically expired.", nil, em.TuplesExpired)
 	p.Counter("expdb_triggers_fired_total", "ON EXPIRE triggers fired.", nil, em.TriggersFired)
 	p.Counter("expdb_sweeps_total", "Lazy sweep passes.", nil, em.Sweeps)
-	p.Counter("expdb_compactions_total", "Storage compactions.", nil, em.Compactions)
+	p.Counter("expdb_compactions_total", "Expiration-index rebuilds that shed superseded entries.", nil, em.Compactions)
 	p.Counter("expdb_advances_total", "Advance calls.", nil, em.Advances)
-	p.Counter("expdb_stale_dropped_total", "Stale scheduler events dropped.", nil, em.StaleDropped)
+	p.Counter("expdb_stale_dropped_total", "Superseded expiration-index entries dropped.", nil, em.StaleDropped)
 	p.Counter("expdb_trigger_lag_ticks_total", "Sum of (fire tick - expiration tick) under lazy sweeping.", nil, em.TriggerLagTicks)
 	p.Counter("expdb_checkpoints_total", "Durability checkpoints completed.", nil, em.Checkpoints)
 	p.Counter("expdb_disk_faults_total", "Transitions into disk-degraded read-only mode.", nil, em.DiskFaults)
@@ -144,9 +144,7 @@ func (db *DB) WritePrometheus(w io.Writer) error {
 	p.Histogram("expdb_advance_duration_nanos", "Advance wall-clock latency.", nil, em.AdvanceNanos)
 	p.Histogram("expdb_expiry_batch_size", "Tuples expired per batch or sweep tick.", nil, em.ExpiryBatch)
 
-	sched := []Label{{Key: "kind", Value: em.Scheduler.Kind}}
-	p.Gauge("expdb_scheduler_pending", "Scheduled future expirations.", sched, int64(em.Scheduler.Pending))
-	p.Gauge("expdb_scheduler_stale", "Stale entries awaiting compaction.", sched, int64(em.Scheduler.Stale))
+	p.Gauge("expdb_scheduler_pending", "Expiration-index entries held, superseded ones not yet discarded included.", nil, int64(em.Scheduler.Pending))
 
 	// Observability rings: one family per measure, ring name as label.
 	rings := []struct {
