@@ -127,9 +127,10 @@ var (
 	Window = ialg.Window
 	// IsMonotonic re-derives monotonicity structurally.
 	IsMonotonic = ialg.IsMonotonic
-	// EvalStream computes an expression through the pipelined streaming
-	// executor, collecting the stream into a relation (same result as
-	// Eval, no per-operator intermediates).
+	// EvalStream computes an expression through the streaming executor,
+	// collecting the stream into a relation with no per-operator
+	// intermediates. Eval of σ, π, ×, ∪, ⋈, ∩ and index scans is this
+	// same call.
 	EvalStream = ialg.EvalStream
 	// StreamExpr pushes an expression's result rows into emit one at a
 	// time; non-streaming nodes are evaluated and their rows replayed.

@@ -96,12 +96,7 @@ func (s *IndexScan) Children() []Expr {
 
 // Eval implements Expr.
 func (s *IndexScan) Eval(tau xtime.Time) (*relation.Relation, error) {
-	out := relation.New(s.Schema())
-	err := s.Stream(tau, func(row relation.Row) { out.InsertOwnedRow(row) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return EvalStream(s, tau)
 }
 
 // Stream implements Streamer: probe the index and push the survivors.

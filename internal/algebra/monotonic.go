@@ -35,17 +35,7 @@ func (s *Select) Monotonic() bool { return s.Child.Monotonic() }
 
 // Eval implements Expr.
 func (s *Select) Eval(tau xtime.Time) (*relation.Relation, error) {
-	in, err := s.Child.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(s.Schema())
-	in.AliveAt(tau, func(row relation.Row) {
-		if s.Pred.Holds(row.Tuple) {
-			out.InsertOwnedRow(row)
-		}
-	})
-	return out, nil
+	return EvalStream(s, tau)
 }
 
 // ExprTexp implements Expr: texp(σ(e′)) = texp(e′).
@@ -89,18 +79,10 @@ func (p *Project) Schema() tuple.Schema { return p.Child.Schema().Project(p.Cols
 // Monotonic implements Expr.
 func (p *Project) Monotonic() bool { return p.Child.Monotonic() }
 
-// Eval implements Expr. relation.Insert keeps the max expiration on
-// duplicate keys, which is exactly the rule of (3).
+// Eval implements Expr. The collector keeps the max expiration of
+// duplicate tuples, which is exactly the rule of (3).
 func (p *Project) Eval(tau xtime.Time) (*relation.Relation, error) {
-	in, err := p.Child.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(p.Schema())
-	in.AliveAt(tau, func(row relation.Row) {
-		out.InsertOwnedRow(relation.Row{Tuple: row.Tuple.Project(p.Cols), Texp: row.Texp})
-	})
-	return out, nil
+	return EvalStream(p, tau)
 }
 
 // ExprTexp implements Expr: texp(π(e′)) = texp(e′).
@@ -141,27 +123,7 @@ func (p *Product) Monotonic() bool { return p.Left.Monotonic() && p.Right.Monoto
 
 // Eval implements Expr.
 func (p *Product) Eval(tau xtime.Time) (*relation.Relation, error) {
-	l, err := p.Left.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	r, err := p.Right.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(p.Schema())
-	// Hoist the alive right rows once instead of re-filtering the whole
-	// right relation per left row.
-	rrows := r.Rows(tau)
-	l.AliveAt(tau, func(lr relation.Row) {
-		for _, rr := range rrows {
-			out.InsertOwnedRow(relation.Row{
-				Tuple: lr.Tuple.Concat(rr.Tuple),
-				Texp:  xtime.Min(lr.Texp, rr.Texp),
-			})
-		}
-	})
-	return out, nil
+	return EvalStream(p, tau)
 }
 
 // ExprTexp implements Expr: texp(e1 × e2) = min(texp(e1), texp(e2)).
@@ -200,21 +162,10 @@ func (u *Union) Schema() tuple.Schema { return u.Left.Schema() }
 // Monotonic implements Expr.
 func (u *Union) Monotonic() bool { return u.Left.Monotonic() && u.Right.Monotonic() }
 
-// Eval implements Expr. relation.Insert keeps the max expiration for
+// Eval implements Expr. The collector keeps the max expiration of
 // duplicates, implementing the three-way case split of (4).
 func (u *Union) Eval(tau xtime.Time) (*relation.Relation, error) {
-	l, err := u.Left.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	r, err := u.Right.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(u.Schema())
-	l.AliveAt(tau, func(row relation.Row) { out.InsertOwnedRow(row) })
-	r.AliveAt(tau, func(row relation.Row) { out.InsertOwnedRow(row) })
-	return out, nil
+	return EvalStream(u, tau)
 }
 
 // ExprTexp implements Expr: texp(e1 ∪ e2) = min(texp(e1), texp(e2)).
@@ -233,9 +184,12 @@ func (u *Union) Children() []Expr { return []Expr{u.Left, u.Right} }
 func (u *Union) String() string { return fmt.Sprintf("(%s ∪ %s)", u.Left, u.Right) }
 
 // Join is the derived operator R ⋈exp_p S = σexp_p′(R ×exp S), formula
-// (5). It is represented as its own node so that evaluation can use a hash
-// join for equality predicates instead of materialising the product; the
-// expiration-time semantics coincide with the rewrite by construction.
+// (5). It is its own node so that Stream can run a hash join: the build
+// side is collected once into a relation.Index on the cross-argument
+// equality columns and the probe side streams through it, with a nested
+// loop when the predicate has no such conjunct. Each result row carries
+// the min of its two input expirations, as in the rewrite; the product
+// is never materialised.
 type Join struct {
 	Pred        Predicate // over the concatenated schema
 	Left, Right Expr
@@ -293,54 +247,9 @@ func (j *Join) equiCols() (left, right []int, rest []Predicate, ok bool) {
 	return left, right, rest, len(left) > 0
 }
 
-// Eval implements Expr with a hash join when the predicate contains
-// cross-argument equality conjuncts, falling back to a nested loop.
+// Eval implements Expr.
 func (j *Join) Eval(tau xtime.Time) (*relation.Relation, error) {
-	l, err := j.Left.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	r, err := j.Right.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(j.Schema())
-	leftCols, rightCols, rest, ok := j.equiCols()
-	if !ok {
-		// Hoist the alive right rows once (see Product.Eval).
-		rrows := r.Rows(tau)
-		l.AliveAt(tau, func(lr relation.Row) {
-			for _, rr := range rrows {
-				t := lr.Tuple.Concat(rr.Tuple)
-				if j.Pred.Holds(t) {
-					out.InsertOwnedRow(relation.Row{Tuple: t, Texp: xtime.Min(lr.Texp, rr.Texp)})
-				}
-			}
-		})
-		return out, nil
-	}
-	if j.BuildLeft {
-		idx := l.BuildIndex(tau, leftCols)
-		r.AliveAt(tau, func(rr relation.Row) {
-			for _, lr := range idx.ProbeKey(rr.Tuple.KeyCols(rightCols)) {
-				t := lr.Tuple.Concat(rr.Tuple)
-				if holdsAll(rest, t) {
-					out.InsertOwnedRow(relation.Row{Tuple: t, Texp: xtime.Min(lr.Texp, rr.Texp)})
-				}
-			}
-		})
-		return out, nil
-	}
-	idx := r.BuildIndex(tau, rightCols)
-	l.AliveAt(tau, func(lr relation.Row) {
-		for _, rr := range idx.ProbeKey(lr.Tuple.KeyCols(leftCols)) {
-			t := lr.Tuple.Concat(rr.Tuple)
-			if holdsAll(rest, t) {
-				out.InsertOwnedRow(relation.Row{Tuple: t, Texp: xtime.Min(lr.Texp, rr.Texp)})
-			}
-		}
-	})
-	return out, nil
+	return EvalStream(j, tau)
 }
 
 func holdsAll(ps []Predicate, t tuple.Tuple) bool {
@@ -394,21 +303,7 @@ func (x *Intersect) Monotonic() bool { return x.Left.Monotonic() && x.Right.Mono
 
 // Eval implements Expr.
 func (x *Intersect) Eval(tau xtime.Time) (*relation.Relation, error) {
-	l, err := x.Left.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	r, err := x.Right.Eval(tau)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(x.Schema())
-	l.AliveAt(tau, func(row relation.Row) {
-		if rt, ok := r.Texp(row.Tuple); ok && rt > tau {
-			out.InsertOwnedRow(relation.Row{Tuple: row.Tuple, Texp: xtime.Min(row.Texp, rt)})
-		}
-	})
-	return out, nil
+	return EvalStream(x, tau)
 }
 
 // ExprTexp implements Expr.

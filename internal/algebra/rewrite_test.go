@@ -131,8 +131,9 @@ func TestPushDownThroughAggOnGroupColumns(t *testing.T) {
 	}
 }
 
-// TestRewriteEquivalenceRandom: rewriting preserves results and per-tuple
-// expiration times at every evaluation instant.
+// TestRewriteEquivalenceRandom: the original and the rewritten expression
+// both return the snapshot answer, and rewriting preserves per-tuple
+// expiration times, at every evaluation instant.
 func TestRewriteEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 300; trial++ {
@@ -144,6 +145,7 @@ func TestRewriteEquivalenceRandom(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		rewritten := PushDownSelections(e)
+		o := newOracle(t, e, rewritten)
 		for tau := xtime.Time(0); tau <= 22; tau += 2 {
 			a, err := e.Eval(tau)
 			if err != nil {
@@ -152,6 +154,14 @@ func TestRewriteEquivalenceRandom(t *testing.T) {
 			b, err := rewritten.Eval(tau)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
+			}
+			for _, side := range []struct {
+				e   Expr
+				rel *relation.Relation
+			}{{e, a}, {rewritten, b}} {
+				if d := o.verify(side.e, tau, side.rel); d != "" {
+					t.Fatalf("trial %d at %v: %s: %s", trial, tau, side.e, d)
+				}
 			}
 			if !a.EqualAt(b, tau) {
 				t.Fatalf("trial %d at %v: rewrite changed semantics\noriginal %s:\n%s\nrewritten %s:\n%s",

@@ -6,18 +6,19 @@ import (
 	"expdb/internal/xtime"
 )
 
-// This file implements the pipelined, push-based execution path: operators
-// push rows through the tree one at a time instead of materialising a
-// relation per node (see DESIGN.md "Execution engine").
+// This file implements the executor: operators push rows through the tree
+// one at a time instead of materialising a relation per node (see
+// DESIGN.md "Execution engine"). It is the only implementation of σ, π, ×,
+// ∪, ⋈ and ∩; their Eval methods collect their own stream via EvalStream.
 //
 // Correctness of streaming without per-operator duplicate elimination: a
 // stream may carry several rows with equal tuples and different expiration
-// times where Eval's relations would hold one row with the maximum. Every
-// monotonic operator either passes expiration times through (σ, π) or
-// combines them with min (×, ⋈, ∩), and duplicate elimination takes max —
-// and max_i min(a_i, s) = min(max_i a_i, s), so deduplicating once at the
-// top (EvalStream's collector, or any relation the rows are inserted into)
-// yields exactly the rows and texp values Eval produces. Non-monotonic
+// times where the set semantics of formulas (1)–(6) hold one row with the
+// maximum. Every monotonic operator either passes expiration times through
+// (σ, π) or combines them with min (×, ⋈, ∩), and duplicate elimination
+// takes max — and max_i min(a_i, s) = min(max_i a_i, s), so deduplicating
+// once at the top (EvalStream's collector, or any relation the rows are
+// inserted into) yields exactly the per-operator set result. Non-monotonic
 // operators (Agg, Diff) do need set input and therefore act as pipeline
 // breakers: StreamExpr falls back to their Eval, which collects each child
 // through EvalStream.
@@ -48,12 +49,12 @@ func StreamExpr(e Expr, tau xtime.Time, emit func(relation.Row)) error {
 	return nil
 }
 
-// EvalStream computes e at tau through the streaming path, collecting the
-// stream into a relation. The collector's duplicate handling (max texp
-// wins) is the single point of duplicate elimination for the whole
-// monotonic pipeline; the result is Eval's, without the per-operator
-// intermediate relations. It is the evaluation entry point used by the
-// engine, views and the SQL layer.
+// EvalStream computes e at tau, collecting its stream into a relation.
+// The collector's duplicate handling (max texp wins) is the single point
+// of duplicate elimination for the whole monotonic pipeline. It is the
+// one evaluation entry point: the engine, views and the SQL layer call
+// it, and the Eval of every streaming operator is EvalStream on itself.
+// The reference for its answers is the snapshot oracle of oracle_test.go.
 func EvalStream(e Expr, tau xtime.Time) (*relation.Relation, error) {
 	out := relation.New(e.Schema())
 	err := StreamExpr(e, tau, func(row relation.Row) {
@@ -67,7 +68,7 @@ func EvalStream(e Expr, tau xtime.Time) (*relation.Relation, error) {
 
 // Stream implements Streamer: a base scan pushes expτ(R) straight out of
 // the stored relation — no snapshot, no clone. The caller must hold the
-// table's read lock, exactly as for Eval.
+// table's read lock.
 func (b *Base) Stream(tau xtime.Time, emit func(relation.Row)) error {
 	b.Rel.AliveAt(tau, emit)
 	return nil

@@ -11,56 +11,51 @@ import (
 	"expdb/internal/xtime"
 )
 
-// TestStreamEvalEquivalenceRandom: the streaming executor is
-// indistinguishable from the materialising one — same tuples, same
-// per-tuple expiration times — on random monotonic expressions, at the
-// evaluation instant and at every later instant (so the derived texp
-// values agree exactly, not just the alive sets).
-func TestStreamEvalEquivalenceRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 300; trial++ {
-		bases := []*Base{randRel(rng, "R"), randRel(rng, "S"), randRel(rng, "T")}
-		e := randExpr(rng, bases, 1+rng.Intn(3), true)
-		tau := xtime.Time(rng.Intn(10))
-		want, err := e.Eval(tau)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		got, err := EvalStream(e, tau)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for tau2 := tau; tau2 <= 24; tau2++ {
-			if !got.EqualAt(want, tau2) {
-				t.Fatalf("trial %d: Stream ≢ Eval for %s at τ=%v checked τ′=%v\nstream:\n%s\neval:\n%s",
-					trial, e, tau, tau2, got.Render(tau2), want.Render(tau2))
+// checkRandomTrees evaluates 300 random monotonic (or 300 non-monotonic)
+// trees through EvalStream and Eval, inline and on a forced pool of four
+// workers, and verifies both results against the snapshot oracle.
+func checkRandomTrees(t *testing.T, seed int64, monotonic bool) {
+	prev := SetParallelism(1)
+	defer SetParallelism(prev)
+	for _, par := range []int{1, 4} {
+		SetParallelism(par)
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 300; {
+			bases := []*Base{randRel(rng, "R"), randRel(rng, "S"), randRel(rng, "T")}
+			e := randExpr(rng, bases, 1+rng.Intn(3), monotonic)
+			if e.Monotonic() != monotonic {
+				continue
+			}
+			trial++
+			tau := xtime.Time(rng.Intn(10))
+			o := newOracle(t, e)
+			for _, eval := range []func(Expr, xtime.Time) (*relation.Relation, error){EvalStream, Expr.Eval} {
+				got, err := eval(e, tau)
+				if err != nil {
+					t.Fatalf("parallelism %d trial %d: %v", par, trial, err)
+				}
+				if d := o.verify(e, tau, got); d != "" {
+					t.Fatalf("parallelism %d trial %d: %s at τ=%v: %s\n%s",
+						par, trial, e, tau, d, got.Render(tau))
+				}
 			}
 		}
 	}
 }
 
-// TestStreamEvalEquivalenceNonMonotonic: same property over trees with
-// aggregation and difference — the pipeline breakers collect their
-// children from streams, so the streamed tree must still match Eval.
+// TestStreamEvalEquivalenceRandom: on random monotonic trees, EvalStream
+// and Eval return the snapshot answer with the oracle's per-tuple
+// expiration times, at one worker and at four.
+func TestStreamEvalEquivalenceRandom(t *testing.T) {
+	checkRandomTrees(t, 51, true)
+}
+
+// TestStreamEvalEquivalenceNonMonotonic: the same over trees with
+// aggregation and difference; the pipeline breakers collect their children
+// from streams, and the result must show the snapshot answer until
+// texp(e).
 func TestStreamEvalEquivalenceNonMonotonic(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	for trial := 0; trial < 300; trial++ {
-		bases := []*Base{randRel(rng, "R"), randRel(rng, "S"), randRel(rng, "T")}
-		e := randExpr(rng, bases, 1+rng.Intn(3), false)
-		tau := xtime.Time(rng.Intn(10))
-		want, err := e.Eval(tau)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		got, err := EvalStream(e, tau)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !got.EqualAt(want, tau) {
-			t.Fatalf("trial %d: Stream ≢ Eval for %s at τ=%v\nstream:\n%s\neval:\n%s",
-				trial, e, tau, got.Render(tau), want.Render(tau))
-		}
-	}
+	checkRandomTrees(t, 52, false)
 }
 
 // bigRel builds a base relation large enough (≥ 2·streamChunk rows) that
@@ -79,7 +74,8 @@ func bigRel(rng *rand.Rand, name string, n int) *Base {
 
 // TestStreamParallelEquivalence forces a multi-worker pool on inputs big
 // enough to chunk, covering the fused parallel base scan (σ over a base)
-// and the parallel hash-join probe, and checks the results against Eval.
+// and the parallel hash-join probe, and checks the results against the
+// snapshot oracle.
 func TestStreamParallelEquivalence(t *testing.T) {
 	prev := SetParallelism(4)
 	defer SetParallelism(prev)
@@ -101,19 +97,15 @@ func TestStreamParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := newOracle(t, sel, join, selJoin)
 	for _, e := range []Expr{sel, join, selJoin} {
 		for _, tau := range []xtime.Time{0, 7, 25} {
-			want, err := e.Eval(tau)
-			if err != nil {
-				t.Fatal(err)
-			}
 			got, err := EvalStream(e, tau)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.EqualAt(want, tau) {
-				t.Fatalf("parallel Stream ≢ Eval for %s at τ=%v (|stream|=%d, |eval|=%d)",
-					e, tau, got.CountAt(tau), want.CountAt(tau))
+			if d := o.verify(e, tau, got); d != "" {
+				t.Fatalf("parallel stream of %s at τ=%v: %s", e, tau, d)
 			}
 		}
 	}
@@ -153,7 +145,8 @@ func TestParallelFilterMapOrder(t *testing.T) {
 // TestStreamConcurrent runs streaming queries over shared base relations
 // from many goroutines with a forced worker pool — under -race this
 // exercises the immutable-tuple sharing, the frozen join index and the
-// pooled key buffers for data races.
+// pooled key buffers for data races — and checks every result against
+// the snapshot oracle.
 func TestStreamConcurrent(t *testing.T) {
 	prev := SetParallelism(4)
 	defer SetParallelism(prev)
@@ -165,10 +158,8 @@ func TestStreamConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := join.Eval(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := newOracle(t, join)
+	o.leave(join, 5) // fill the memo before the goroutines share it
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -182,8 +173,8 @@ func TestStreamConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !got.EqualAt(want, 5) {
-					t.Error("concurrent stream diverged from Eval")
+				if d := o.verify(join, 5, got); d != "" {
+					t.Errorf("concurrent stream diverged from the oracle: %s", d)
 					return
 				}
 			}

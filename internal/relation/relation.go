@@ -622,42 +622,24 @@ func (r *Relation) DisableTexpIndex() {
 	}
 }
 
-// Index is a hash index over a column subset, mapping projected keys to
-// rows. It accelerates joins, intersections and difference probes.
+// Index is the build table of a hash join: the rows of expτ(R) grouped
+// by the key of a column subset. It is frozen once BuildIndex returns, so
+// concurrent probes need no locking.
 type Index struct {
 	cols []int
 	m    map[string][]Row
 }
 
-// NewIndex returns an empty index over the given 0-based columns; feed it
-// with Add. The streaming executor uses it to build the join hash table
-// from a child stream instead of a materialised relation.
-func NewIndex(cols []int) *Index {
-	return &Index{cols: cols, m: make(map[string][]Row)}
-}
-
-// Add indexes one row under the key of its indexed columns.
-func (idx *Index) Add(row Row) {
+func (idx *Index) add(row Row) {
 	k := row.Tuple.KeyCols(idx.cols)
 	idx.m[k] = append(idx.m[k], row)
 }
 
 // BuildIndex builds an index of expτ(R) on the given 0-based columns.
 func (r *Relation) BuildIndex(tau xtime.Time, cols []int) *Index {
-	idx := NewIndex(cols)
-	r.AliveAt(tau, idx.Add)
+	idx := &Index{cols: cols, m: make(map[string][]Row)}
+	r.AliveAt(tau, idx.add)
 	return idx
-}
-
-// Probe returns the rows whose indexed columns equal the projection of
-// key onto those columns; key must have the full schema arity.
-func (idx *Index) Probe(key tuple.Tuple) []Row {
-	return idx.m[key.KeyCols(idx.cols)]
-}
-
-// ProbeProjected returns the rows for an already-projected key tuple.
-func (idx *Index) ProbeProjected(projected tuple.Tuple) []Row {
-	return idx.m[projected.Key()]
 }
 
 // ProbeKey returns the rows stored under an already-encoded key (a value

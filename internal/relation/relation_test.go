@@ -172,20 +172,20 @@ func TestEqualAt(t *testing.T) {
 
 func TestBuildIndexProbe(t *testing.T) {
 	r := pol()
-	idx := r.BuildIndex(0, []int{1}) // index on Deg
-	hits := idx.ProbeProjected(tuple.Ints(25))
-	if len(hits) != 2 {
+	deg := []int{1}
+	idx := r.BuildIndex(0, deg) // index on Deg
+	if hits := idx.ProbeKey(tuple.Ints(0, 25).KeyCols(deg)); len(hits) != 2 {
 		t.Fatalf("probe(25) = %d rows, want 2", len(hits))
 	}
-	if got := idx.Probe(tuple.Ints(7, 35)); len(got) != 1 {
+	if got := idx.ProbeKey(tuple.Ints(7, 35).KeyCols(deg)); len(got) != 1 {
 		t.Fatalf("probe tuple with Deg=35 = %d rows, want 1", len(got))
 	}
 	// Index respects expτ: build at τ=10, only ⟨2,25⟩ alive.
-	idx10 := r.BuildIndex(10, []int{1})
-	if len(idx10.ProbeProjected(tuple.Ints(25))) != 1 {
+	idx10 := r.BuildIndex(10, deg)
+	if len(idx10.ProbeKey(tuple.Ints(0, 25).KeyCols(deg))) != 1 {
 		t.Error("index at τ=10 must only see unexpired rows")
 	}
-	if len(idx10.ProbeProjected(tuple.Ints(35))) != 0 {
+	if len(idx10.ProbeKey(tuple.Ints(0, 35).KeyCols(deg))) != 0 {
 		t.Error("expired row leaked into index")
 	}
 }

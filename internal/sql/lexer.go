@@ -92,10 +92,12 @@ func lex(input string) ([]token, error) {
 			} else {
 				toks = append(toks, token{kind: tokIdent, text: word, pos: start})
 			}
-		case unicode.IsDigit(c):
+		case isDigit(c):
+			// ASCII digits only: a non-ASCII digit would start a number
+			// the byte loop below cannot consume.
 			start := i
 			isFloat := false
-			for i < n && (unicode.IsDigit(rune(input[i])) || input[i] == '.') {
+			for i < n && (isDigit(rune(input[i])) || input[i] == '.') {
 				if input[i] == '.' {
 					if isFloat {
 						return nil, fmt.Errorf("sql: malformed number at offset %d", start)
@@ -174,3 +176,5 @@ func isIdentStart(c rune) bool {
 func isIdentPart(c rune) bool {
 	return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_'
 }
+
+func isDigit(c rune) bool { return c >= '0' && c <= '9' }

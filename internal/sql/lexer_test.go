@@ -42,6 +42,21 @@ func TestLexNumbers(t *testing.T) {
 	}
 }
 
+// TestLexNonASCIIDigit: a non-ASCII decimal digit is not a number. The
+// lexer once took it for the start of one, consumed nothing, and looped
+// forever appending empty tokens.
+func TestLexNonASCIIDigit(t *testing.T) {
+	for _, in := range []string{"٣", "SELECT ٣ FROM t", "1٣"} {
+		if _, err := lex(in); err == nil {
+			t.Errorf("lex(%q) accepted a non-ASCII digit", in)
+		}
+	}
+	toks := lexKinds(t, "x٣")
+	if toks[0].kind != tokIdent || toks[0].text != "x٣" {
+		t.Errorf("identifier with a non-ASCII digit lexed as %v %q", toks[0].kind, toks[0].text)
+	}
+}
+
 func TestLexStrings(t *testing.T) {
 	toks := lexKinds(t, "'hello' 'it''s'")
 	if toks[0].text != "hello" || toks[1].text != "it's" {
